@@ -8,6 +8,13 @@ top-to-random sums; ``expansion`` computes those coefficients through
 independent check by walking every tuple of factor terms, composing each
 tuple left to right, and tallying the outcomes.
 
+This module also holds what the plain and faced (``wreath``) algebras
+share: the element body ``_Element`` and the tuple walker
+``_walk_tuples`` behind both ``brute_force_product`` and
+``wreath.g_brute_force_product``.  The walker shares no code with
+``expansion``, ``expansion_element`` or ``wreath.g_expansion*``, so the
+oracle stays an independent check of the closed form.
+
 All coefficients are exact arbitrary-precision integers.
 """
 
@@ -28,7 +35,7 @@ Word = tuple[int, ...]
 
 DEFAULT_TUPLE_CAP = 10**7
 
-# Stop memoizing last-factor rows once the cache holds this many decks.
+# Stop memoizing last-factor rows once the cache holds this many states.
 _ROW_CACHE_LIMIT = 2_000_000
 
 
@@ -47,19 +54,23 @@ def shuffle_product(u: Sequence[int], v: Sequence[int]) -> list[Word]:
     return out
 
 
-class AlgebraElement:
-    """A finite sum of decks with nonnegative integer coefficients.
+class _Element:
+    """Body shared by ``AlgebraElement`` and ``wreath.GAlgebraElement``.
 
-    Zero coefficients are never stored; equality is exact map equality.
-    Treat instances as immutable values.
+    A subclass supplies its constructor, ``_DECK`` (the deck class),
+    ``_sort_key`` and ``__repr__``; an algebra with more than a deck size
+    also overrides ``_MISMATCH`` and the JSON header methods.
     """
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "_space", "_terms")
+    _MISMATCH = "deck sizes differ: {0.n} != {1.n}"
 
-    def __init__(self, n: int, terms: Mapping[Permutation, int]):
+    def _store(self, space: tuple, terms: Mapping, check=None) -> None:
+        """``space``: the constructor's arguments before ``terms``, n first."""
+        n = space[0]
         if n < 1:
             raise ValueError("deck size must be at least 1")
-        pruned: dict[Permutation, int] = {}
+        pruned = {}
         for p, c in terms.items():
             if c < 0:
                 raise ValueError("coefficients must be nonnegative")
@@ -67,15 +78,22 @@ class AlgebraElement:
                 continue
             if p.n != n:
                 raise ValueError(f"term of size {p.n} in an element of size {n}")
+            if check is not None:
+                check(p)
             pruned[p] = c
         self.n = n
+        self._space = space
         self._terms = pruned
 
+    def _require_same(self, other) -> None:
+        if self._space != other._space:
+            raise ValueError(self._MISMATCH.format(self, other))
+
     @property
-    def terms(self) -> Mapping[Permutation, int]:
+    def terms(self) -> Mapping:
         return MappingProxyType(self._terms)
 
-    def coefficient(self, p: Permutation) -> int:
+    def coefficient(self, p) -> int:
         return self._terms.get(p, 0)
 
     @property
@@ -83,53 +101,74 @@ class AlgebraElement:
         """Sum of all coefficients (the number of contributing tuples)."""
         return sum(self._terms.values())
 
-    def sorted_terms(self) -> list[tuple[Permutation, int]]:
-        return sorted(self._terms.items(), key=lambda item: item[0].deck)
+    def sorted_terms(self) -> list:
+        return sorted(self._terms.items(), key=lambda item: self._sort_key(item[0]))
 
-    def scale(self, c: int) -> "AlgebraElement":
+    def scale(self, c: int):
         if c < 0:
             raise ValueError("coefficients must be nonnegative")
-        return AlgebraElement(self.n, {p: c * v for p, v in self._terms.items()})
+        return type(self)(*self._space, {p: c * v for p, v in self._terms.items()})
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.n != other.n:
-            raise ValueError(f"deck sizes differ: {self.n} != {other.n}")
+    def __add__(self, other):
+        self._require_same(other)
         out = dict(self._terms)
         for p, c in other._terms.items():
             out[p] = out.get(p, 0) + c
-        return AlgebraElement(self.n, out)
-
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return multiply(self, other)
+        return type(self)(*self._space, out)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AlgebraElement):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.n == other.n and self._terms == other._terms
+        return self._space == other._space and self._terms == other._terms
 
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __repr__(self) -> str:
-        return f"AlgebraElement(n={self.n}, terms={len(self._terms)}, mass={self.mass})"
-
     def as_json(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {"deck": p.as_json(), "coeff": str(c)} for p, c in self.sorted_terms()
-            ],
-        }
+        terms = [{"deck": p.as_json(), "coeff": str(c)} for p, c in self.sorted_terms()]
+        return {**self._json_header(), "terms": terms}
+
+    def _json_header(self) -> dict:
+        return {"n": self.n}
+
+    @staticmethod
+    def _space_from_json(data: dict) -> tuple:
+        return (int(data["n"]),)
 
     @classmethod
-    def from_json(cls, data: dict) -> "AlgebraElement":
-        return cls(
-            int(data["n"]),
-            {
-                Permutation.from_json(t["deck"]): int(t["coeff"])
-                for t in data["terms"]
-            },
-        )
+    def from_json(cls, data: dict):
+        space = cls._space_from_json(data)
+        terms = {}
+        for t in data["terms"]:
+            p = cls._DECK.from_json(t["deck"])
+            if p in terms:
+                raise ValueError(f"deck {p.as_json()} listed twice")
+            terms[p] = int(t["coeff"])
+        return cls(*space, terms)
+
+
+class AlgebraElement(_Element):
+    """A finite sum of decks with nonnegative integer coefficients.
+
+    Zero coefficients are never stored; equality is exact map equality.
+    Treat instances as immutable values.
+    """
+
+    __slots__ = ()
+    _DECK = Permutation
+
+    def __init__(self, n: int, terms: Mapping[Permutation, int]):
+        self._store((n,), terms)
+
+    @staticmethod
+    def _sort_key(p: Permutation) -> tuple[int, ...]:
+        return p.deck
+
+    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
+        return multiply(self, other)
+
+    def __repr__(self) -> str:
+        return f"AlgebraElement(n={self.n}, terms={len(self._terms)}, mass={self.mass})"
 
 
 def _top_to_random_decks(a: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -149,8 +188,7 @@ def top_to_random(a: int, n: int) -> AlgebraElement:
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Convolution product: coefficient of ``r`` is the sum of
     ``x[p] * y[q]`` over all ``p, q`` with ``compose(p, q) == r``."""
-    if x.n != y.n:
-        raise ValueError(f"deck sizes differ: {x.n} != {y.n}")
+    x._require_same(y)
     out: dict[tuple[int, ...], int] = {}
     for p, cp in x.terms.items():
         for q, cq in y.terms.items():
@@ -160,8 +198,44 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 
 def predicted_tuple_count(spec: ShuffleSpec) -> int:
-    """Number of term tuples a brute-force walk of the product visits."""
+    """Number of term tuples a brute-force walk of the product visits, which
+    is also the number of equally likely outcome tuples: prod of P(n, a_i)."""
     return math.prod(math.perm(spec.n, ai) for ai in spec.a)
+
+
+def _walk_tuples(start, factors: list[list], compose_row) -> Counter:
+    """Tally the left-to-right composite of every tuple of factor terms.
+
+    ``compose_row(cur, factor)`` lists ``cur`` composed with each term of
+    ``factor``.  Shared prefixes are composed once; the last factor's row is
+    cached per state up to ``_ROW_CACHE_LIMIT`` states, one object per state.
+    """
+    last = factors[-1]
+    k = len(factors)
+    tally: Counter = Counter()
+    row_cache: dict = {}
+    seen: dict = {}
+    cache_budget = _ROW_CACHE_LIMIT // max(1, len(last))
+
+    def walk(depth: int, cur) -> None:
+        if depth == k - 1:
+            row = row_cache.get(cur)
+            if row is None:
+                row = compose_row(cur, last)
+                if len(row_cache) < cache_budget:
+                    row = [seen.setdefault(s, s) for s in row]
+                    row_cache[cur] = row
+            tally.update(row)
+            return
+        for nxt in compose_row(cur, factors[depth]):
+            walk(depth + 1, nxt)
+
+    walk(0, start)
+    return tally
+
+
+def _compose_row(cur: tuple[int, ...], factor: list) -> list[tuple[int, ...]]:
+    return [tuple([cur[c - 1] for c in d]) for d in factor]
 
 
 def brute_force_product(
@@ -178,25 +252,7 @@ def brute_force_product(
         raise CapExceeded(required, cap)
     n = spec.n
     factors = [list(_top_to_random_decks(ai, n)) for ai in spec.a]
-    last = factors[-1]
-    k = len(factors)
-    tally: Counter = Counter()
-    row_cache: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    cache_budget = _ROW_CACHE_LIMIT // max(1, len(last))
-
-    def walk(depth: int, cur: tuple[int, ...]) -> None:
-        if depth == k - 1:
-            row = row_cache.get(cur)
-            if row is None:
-                row = [tuple(cur[c - 1] for c in d) for d in last]
-                if len(row_cache) < cache_budget:
-                    row_cache[cur] = row
-            tally.update(row)
-            return
-        for d in factors[depth]:
-            walk(depth + 1, tuple(cur[c - 1] for c in d))
-
-    walk(0, tuple(range(1, n + 1)))
+    tally = _walk_tuples(tuple(range(1, n + 1)), factors, _compose_row)
     return AlgebraElement(n, {Permutation(d): c for d, c in tally.items()})
 
 
@@ -204,20 +260,16 @@ def expansion(spec: ShuffleSpec) -> dict[int, int]:
     """Coefficients ``{j: count}`` with the product of the spec's shuffle
     sums equal to ``sum_j count * top_to_random(j, n)``; keys are exactly
     the ``j`` in ``[max(a), min(sum(a), n)]`` with a nonzero count."""
-    out: dict[int, int] = {}
-    for j in range(spec.j_min, spec.j_max + 1):
-        c = q_cardinality(spec, j)
-        if c:
-            out[j] = c
-    return out
+    return {
+        j: c for j in range(spec.j_min, spec.j_max + 1) if (c := q_cardinality(spec, j))
+    }
 
 
 def expansion_element(spec: ShuffleSpec) -> AlgebraElement:
     """The expansion materialized as a single element, for comparison
     against ``brute_force_product``."""
-    terms: dict[Permutation, int] = {}
+    terms: Counter = Counter()
     for j, c in expansion(spec).items():
         for d in _top_to_random_decks(j, spec.n):
-            p = Permutation(d)
-            terms[p] = terms.get(p, 0) + c
-    return AlgebraElement(spec.n, terms)
+            terms[d] += c
+    return AlgebraElement(spec.n, {Permutation(d): c for d, c in terms.items()})

@@ -196,26 +196,21 @@ def _cmd_verify(args) -> int:
         else:
             _print_json({"match": True, "terms": len(oracle)})
         return 0
-    oracle_terms = dict(oracle.sorted_terms())
-    expanded_terms = dict(expanded.sorted_terms())
-    for term in sorted(
-        set(oracle_terms) | set(expanded_terms),
-        key=lambda t: t.deck if isinstance(t, Permutation) else wreath._sort_key(t),
-    ):
-        got, want = expanded_terms.get(term, 0), oracle_terms.get(term, 0)
-        if got != want:
-            diff = {
+    terms = sorted(set(oracle.terms) | set(expanded.terms), key=oracle._sort_key)
+    term = next(t for t in terms if expanded.coefficient(t) != oracle.coefficient(t))
+    got, want = expanded.coefficient(term), oracle.coefficient(term)
+    if args.format == "text":
+        print(f"mismatch at {term.as_json()}: expansion {got}, brute {want}")
+    else:
+        _print_json(
+            {
                 "match": False,
                 "deck": term.as_json(),
                 "expansion": str(got),
                 "brute_force": str(want),
             }
-            if args.format == "text":
-                print(f"mismatch at {term.as_json()}: expansion {got}, brute {want}")
-            else:
-                _print_json(diff)
-            return 3
-    return 3  # unreachable: unequal elements must differ in some term
+        )
+    return 3
 
 
 def _cmd_coeff(args) -> int:

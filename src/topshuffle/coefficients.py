@@ -22,13 +22,13 @@ import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 from .permutations import (
     Permutation,
     _compose_decks,
     _deck_from_targets,
+    _integer,
     _inverse_deck,
     _min_shuffle_raw,
     min_shuffle_size,
@@ -46,7 +46,7 @@ class ShuffleSpec:
     a: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
+        object.__setattr__(self, "a", tuple(_integer(x) for x in self.a))
         if self.n < 1:
             raise ValueError("deck size must be at least 1")
         if not self.a:
@@ -89,7 +89,6 @@ def falling_factorial(m: int, l: int) -> int:
     return math.perm(m, l)
 
 
-@cache
 def stirling2(k: int, j: int) -> int:
     """Partitions of a ``k``-set into exactly ``j`` nonempty blocks.
 
@@ -98,18 +97,24 @@ def stirling2(k: int, j: int) -> int:
     """
     if k < 0 or j < 0:
         raise ValueError("arguments must be nonnegative")
-    if k == 0:
-        return 1 if j == 0 else 0
-    if j == 0 or j > k:
-        return 0
-    return j * stirling2(k - 1, j) + stirling2(k - 1, j - 1)
+    return _stirling_row(k, j)[j] if j <= k else 0
+
+
+def _stirling_row(k: int, top: int) -> list[int]:
+    """``[S(k, 0), ..., S(k, top)]``, built row by row from S(0, 0) = 1."""
+    row = [1] + [0] * top
+    for m in range(1, k + 1):
+        for j in range(min(m, top), 0, -1):
+            row[j] = j * row[j] + row[j - 1]
+        row[0] = 0
+    return row
 
 
 def bell(k: int) -> int:
     """Partitions of a ``k``-set into any number of blocks, ``k >= 1``."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    return sum(stirling2(k, j) for j in range(1, k + 1))
+    return sum(_stirling_row(k, k))
 
 
 def anchor_tuples(spec: ShuffleSpec, j: int) -> Iterator[tuple[int, ...]]:

@@ -35,7 +35,7 @@ class Permutation:
     def __post_init__(self) -> None:
         deck = self.deck
         if type(deck) is not tuple or any(type(c) is not int for c in deck):
-            deck = tuple(int(c) for c in deck)
+            deck = tuple(_integer(c) for c in deck)
         object.__setattr__(self, "deck", deck)
         n = len(deck)
         if n == 0:
@@ -62,7 +62,7 @@ class Permutation:
 
     @classmethod
     def from_json(cls, data: Sequence[int]) -> "Permutation":
-        return cls(tuple(int(c) for c in data))
+        return cls(tuple(data))
 
 
 def identity(n: int) -> Permutation:
@@ -179,6 +179,15 @@ def all_permutations(n: int) -> Iterator[Permutation]:
     """Every deck of size ``n``, in canonical (lexicographic) order."""
     for deck in itertools.permutations(range(1, n + 1)):
         yield Permutation(deck)
+
+
+def _integer(x) -> int:
+    """``x`` as an int: ints and integral floats pass; bools and the rest raise."""
+    if type(x) is float and x.is_integer():
+        return int(x)
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
 
 
 # Raw-tuple helpers shared with the sibling modules.  They skip dataclass

@@ -9,17 +9,17 @@ probabilities are exact rationals; any decimal rendering is display-only.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
+from .algebra import predicted_tuple_count
 from .coefficients import ShuffleSpec, q_cardinality
 from .permutations import Permutation, min_shuffle_size
-from .wreath import FiniteGroup, GPermutation, is_hat_term
+from .wreath import FiniteGroup, GPermutation, is_hat_term, predicted_g_tuple_count
 
 
-def total_outcomes(spec: ShuffleSpec) -> int:
-    """Number of equally likely outcome tuples: the product of P(n, a_i)."""
-    return math.prod(math.perm(spec.n, ai) for ai in spec.a)
+# Outcome tuples are the tuples the oracle walk visits; one count serves both.
+total_outcomes = predicted_tuple_count
+g_total_outcomes = predicted_g_tuple_count
 
 
 def ways_to_reach(target: Permutation, spec: ShuffleSpec) -> int:
@@ -33,11 +33,6 @@ def ways_to_reach(target: Permutation, spec: ShuffleSpec) -> int:
 def probability_of(target: Permutation, spec: ShuffleSpec) -> Fraction:
     """Exact probability of ending at ``target``, reduced."""
     return Fraction(ways_to_reach(target, spec), total_outcomes(spec))
-
-
-def g_total_outcomes(spec: ShuffleSpec, group: FiniteGroup) -> int:
-    """Total faced outcome tuples: ``order**sum(a)`` times the plain count."""
-    return group.order**spec.total * total_outcomes(spec)
 
 
 def g_ways_to_reach(

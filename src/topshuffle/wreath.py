@@ -10,22 +10,38 @@ regardless of the face (``factorization_count``).
 
 Groups are supplied as validated multiplication tables with element 0 the
 identity, so arbitrary finite groups (including nonabelian ones) work.
+
+``GAlgebraElement`` keeps only what is faced about it; its body is
+``algebra._Element``, shared with the plain ``AlgebraElement``.  The
+oracles ``g_brute_force_product`` and ``factorization_counts_by_enumeration``
+run the one tuple walker, ``algebra._walk_tuples``, which shares no code
+with ``expansion``, ``expansion_element`` or ``g_expansion*``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .coefficients import ShuffleSpec, q_cardinality
+from .algebra import (
+    DEFAULT_TUPLE_CAP,
+    AlgebraElement,
+    _Element,
+    _walk_tuples,
+    expansion,
+    predicted_tuple_count,
+)
+from .coefficients import ShuffleSpec
 from .errors import CapExceeded
-from .permutations import Permutation, _deck_from_targets, _min_shuffle_raw
+from .permutations import (
+    Permutation,
+    _deck_from_targets,
+    _inverse_deck,
+    _min_shuffle_raw,
+)
 
-DEFAULT_TUPLE_CAP = 10**7
 DEFAULT_FACTORIZATION_CAP = 10**6
 
 
@@ -181,11 +197,6 @@ class GPermutation:
         return cls(tuple((int(b["face"]), int(b["card"])) for b in data))
 
 
-def _sort_key(gp: GPermutation) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Canonical order: by underlying deck, then by faces along positions."""
-    return tuple(c for _, c in gp.deck), tuple(f for f, _ in gp.deck)
-
-
 def _check_faces(gp: GPermutation, group: FiniteGroup) -> None:
     if any(f >= group.order for f, _ in gp.deck):
         raise ValueError(f"face index out of range for a group of order {group.order}")
@@ -213,11 +224,9 @@ def _from_raw(raw: tuple[tuple[int, ...], tuple[int, ...]]) -> GPermutation:
 
 
 def _g_compose_raw(s, t, cayley):
-    spos, sface = s
-    tpos, tface = t
-    pos = tuple(tpos[p - 1] for p in spos)
-    face = tuple(cayley[f][tface[p - 1]] for f, p in zip(sface, spos))
-    return pos, face
+    (spos, sface), (tpos, tface) = s, t
+    pos = tuple([tpos[p - 1] for p in spos])
+    return pos, tuple([cayley[f][tface[p - 1]] for f, p in zip(sface, spos)])
 
 
 def g_compose(s: GPermutation, t: GPermutation, group: FiniteGroup) -> GPermutation:
@@ -231,95 +240,34 @@ def g_compose(s: GPermutation, t: GPermutation, group: FiniteGroup) -> GPermutat
     return _from_raw(_g_compose_raw(_to_raw(s), _to_raw(t), group.cayley))
 
 
-class GAlgebraElement:
+class GAlgebraElement(_Element):
     """A finite sum of faced decks with nonnegative integer coefficients."""
 
-    __slots__ = ("n", "group", "_terms")
+    __slots__ = ("group",)
+    _DECK = GPermutation
+    _MISMATCH = "elements live in different algebras"
 
     def __init__(self, n: int, group: FiniteGroup, terms: Mapping[GPermutation, int]):
-        if n < 1:
-            raise ValueError("deck size must be at least 1")
-        pruned: dict[GPermutation, int] = {}
-        for gp, c in terms.items():
-            if c < 0:
-                raise ValueError("coefficients must be nonnegative")
-            if c == 0:
-                continue
-            if gp.n != n:
-                raise ValueError(f"term of size {gp.n} in an element of size {n}")
-            _check_faces(gp, group)
-            pruned[gp] = c
-        self.n = n
         self.group = group
-        self._terms = pruned
+        self._store((n, group), terms, lambda gp: _check_faces(gp, group))
 
-    @property
-    def terms(self) -> Mapping[GPermutation, int]:
-        return MappingProxyType(self._terms)
+    @staticmethod
+    def _sort_key(gp: GPermutation) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Canonical order: by underlying deck, then by faces along positions."""
+        return tuple(c for _, c in gp.deck), tuple(f for f, _ in gp.deck)
 
-    def coefficient(self, gp: GPermutation) -> int:
-        return self._terms.get(gp, 0)
+    def _json_header(self) -> dict:
+        return {"n": self.n, "group": self.group.as_json()}
 
-    @property
-    def mass(self) -> int:
-        return sum(self._terms.values())
-
-    def sorted_terms(self) -> list[tuple[GPermutation, int]]:
-        return sorted(self._terms.items(), key=lambda item: _sort_key(item[0]))
-
-    def scale(self, c: int) -> "GAlgebraElement":
-        if c < 0:
-            raise ValueError("coefficients must be nonnegative")
-        return GAlgebraElement(
-            self.n, self.group, {gp: c * v for gp, v in self._terms.items()}
-        )
-
-    def __add__(self, other: "GAlgebraElement") -> "GAlgebraElement":
-        if self.n != other.n or self.group != other.group:
-            raise ValueError("elements live in different algebras")
-        out = dict(self._terms)
-        for gp, c in other._terms.items():
-            out[gp] = out.get(gp, 0) + c
-        return GAlgebraElement(self.n, self.group, out)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GAlgebraElement):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.group == other.group
-            and self._terms == other._terms
-        )
-
-    def __len__(self) -> int:
-        return len(self._terms)
+    @staticmethod
+    def _space_from_json(data: dict) -> tuple[int, FiniteGroup]:
+        group = FiniteGroup.from_json(data["group"])
+        return int(data["n"]), group
 
     def __repr__(self) -> str:
         return (
             f"GAlgebraElement(n={self.n}, order={self.group.order}, "
             f"terms={len(self._terms)}, mass={self.mass})"
-        )
-
-    def as_json(self) -> dict:
-        return {
-            "n": self.n,
-            "group": self.group.as_json(),
-            "terms": [
-                {"deck": gp.as_json(), "coeff": str(c)}
-                for gp, c in self.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GAlgebraElement":
-        group = FiniteGroup.from_json(data["group"])
-        return cls(
-            int(data["n"]),
-            group,
-            {
-                GPermutation.from_json(t["deck"]): int(t["coeff"])
-                for t in data["terms"]
-            },
         )
 
 
@@ -328,11 +276,7 @@ def _hat_decks_raw(a: int, n: int, order: int) -> Iterator[tuple]:
     faces lexicographic."""
     identity_faces = (0,) * (n - a)
     for targets in itertools.permutations(range(1, n + 1), a):
-        base = _deck_from_targets(targets, n)
-        pos = [0] * n
-        for i, c in enumerate(base):
-            pos[c - 1] = i + 1
-        pos = tuple(pos)
+        pos = _inverse_deck(_deck_from_targets(targets, n))
         for faces in itertools.product(range(order), repeat=a):
             yield pos, faces + identity_faces
 
@@ -350,8 +294,7 @@ def hat_top_to_random(a: int, n: int, group: FiniteGroup) -> GAlgebraElement:
 
 def g_multiply(x: GAlgebraElement, y: GAlgebraElement) -> GAlgebraElement:
     """Convolution product in the faced-deck algebra."""
-    if x.n != y.n or x.group != y.group:
-        raise ValueError("elements live in different algebras")
+    x._require_same(y)
     cayley = x.group.cayley
     xs = [(_to_raw(gp), c) for gp, c in x.terms.items()]
     ys = [(_to_raw(gp), c) for gp, c in y.terms.items()]
@@ -383,26 +326,17 @@ def factorization_counts_by_enumeration(
     required = group.order**l
     if required > cap:
         raise CapExceeded(required, cap)
-    order = group.order
     cayley = group.cayley
-    counts = [0] * order
-
-    def walk(depth: int, acc: int) -> None:
-        if depth == l:
-            counts[acc] += 1
-            return
-        row = cayley[acc]
-        for x in range(order):
-            walk(depth + 1, row[x])
-
-    walk(0, 0)
-    return tuple(counts)
+    tally = _walk_tuples(
+        0, [range(group.order)] * l, lambda acc, f: [cayley[acc][x] for x in f]
+    )
+    return tuple(tally[g] for g in range(group.order))
 
 
 def predicted_g_tuple_count(spec: ShuffleSpec, group: FiniteGroup) -> int:
-    return math.prod(
-        group.order**ai * math.perm(spec.n, ai) for ai in spec.a
-    )
+    """Faced term tuples a brute-force walk visits, which is also the number
+    of faced outcome tuples: ``order**sum(a)`` times the plain count."""
+    return group.order**spec.total * predicted_tuple_count(spec)
 
 
 def g_brute_force_product(
@@ -416,18 +350,11 @@ def g_brute_force_product(
     n = spec.n
     cayley = group.cayley
     factors = [list(_hat_decks_raw(ai, n, group.order)) for ai in spec.a]
-    k = len(factors)
-    tally: Counter = Counter()
-
-    def walk(depth: int, cur) -> None:
-        if depth == k - 1:
-            for t in factors[depth]:
-                tally[_g_compose_raw(cur, t, cayley)] += 1
-            return
-        for t in factors[depth]:
-            walk(depth + 1, _g_compose_raw(cur, t, cayley))
-
-    walk(0, (tuple(range(1, n + 1)), (0,) * n))
+    tally = _walk_tuples(
+        (tuple(range(1, n + 1)), (0,) * n),
+        factors,
+        lambda cur, factor: [_g_compose_raw(cur, t, cayley) for t in factor],
+    )
     return GAlgebraElement(n, group, {_from_raw(r): c for r, c in tally.items()})
 
 
@@ -435,23 +362,19 @@ def g_expansion(spec: ShuffleSpec, group: FiniteGroup) -> dict[int, int]:
     """Coefficients ``{c: count}`` with the product of the spec's faced
     shuffle sums equal to ``sum_c count * hat_top_to_random(c, n)``: the
     plain count at ``c`` times ``order**(sum(a) - c)``."""
-    out: dict[int, int] = {}
-    for c in range(spec.j_min, spec.j_max + 1):
-        q = q_cardinality(spec, c)
-        if q:
-            out[c] = q * group.order ** (spec.total - c)
-    return out
+    return {
+        c: q * group.order ** (spec.total - c) for c, q in expansion(spec).items()
+    }
 
 
 def g_expansion_element(spec: ShuffleSpec, group: FiniteGroup) -> GAlgebraElement:
     """The faced expansion materialized as one element, for comparison
     against ``g_brute_force_product``."""
-    terms: dict[GPermutation, int] = {}
+    terms: Counter = Counter()
     for c, coeff in g_expansion(spec, group).items():
         for raw in _hat_decks_raw(c, spec.n, group.order):
-            gp = _from_raw(raw)
-            terms[gp] = terms.get(gp, 0) + coeff
-    return GAlgebraElement(spec.n, group, terms)
+            terms[raw] += coeff
+    return GAlgebraElement(spec.n, group, {_from_raw(r): c for r, c in terms.items()})
 
 
 def is_hat_term(target: GPermutation, c: int, group: FiniteGroup) -> bool:
@@ -470,12 +393,7 @@ def is_hat_term(target: GPermutation, c: int, group: FiniteGroup) -> bool:
 
 def bar_element(p: Permutation, group: FiniteGroup) -> GAlgebraElement:
     """Sum of all ``order**n`` ways to put a face on every card of ``p``."""
-    n = p.n
-    terms = {
-        GPermutation(tuple(zip(faces, p.deck))): 1
-        for faces in itertools.product(range(group.order), repeat=n)
-    }
-    return GAlgebraElement(n, group, terms)
+    return bar_lift(AlgebraElement(p.n, {p: 1}), group)
 
 
 def bar_lift(x, group: FiniteGroup) -> GAlgebraElement:

@@ -10,6 +10,8 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 
+import pytest
+
 from topshuffle import (
     FiniteGroup,
     GPermutation,
@@ -184,6 +186,7 @@ def _bijection_suite_for(spec):
                 assert phi(tup, spec) == alpha, (spec, j, alpha)
 
 
+@pytest.mark.slow
 def test_criterion_4_bijection_suite():
     """Both correspondence directions are identities, and every fiber over a
     final deck has exactly the enumerated partition count, for all specs

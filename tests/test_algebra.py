@@ -8,12 +8,16 @@ import pytest
 from topshuffle import (
     AlgebraElement,
     CapExceeded,
+    FiniteGroup,
     Permutation,
     ShuffleSpec,
+    algebra,
     bell,
     brute_force_product,
     expansion,
     expansion_element,
+    g_brute_force_product,
+    g_expansion_element,
     identity,
     multiply,
     shuffle_product,
@@ -246,3 +250,21 @@ def test_element_json_roundtrip_sorted():
     assert decks == sorted(decks)
     assert all(isinstance(t["coeff"], str) for t in data["terms"])
     assert AlgebraElement.from_json(data) == x
+
+
+def test_element_from_json_rejects_duplicate_decks():
+    data = {
+        "n": 2,
+        "terms": [{"deck": [1, 2], "coeff": "3"}, {"deck": [1, 2], "coeff": "5"}],
+    }
+    with pytest.raises(ValueError):
+        AlgebraElement.from_json(data)
+
+
+def test_walk_without_row_cache_matches_expansion(monkeypatch):
+    # A zero limit leaves the last-row cache empty, so every row is recomposed.
+    monkeypatch.setattr(algebra, "_ROW_CACHE_LIMIT", 0)
+    spec = ShuffleSpec(4, (1, 2, 2))
+    assert brute_force_product(spec) == expansion_element(spec)
+    z2 = FiniteGroup.cyclic(2)
+    assert g_brute_force_product(spec, z2) == g_expansion_element(spec, z2)

@@ -157,6 +157,20 @@ def test_stirling_and_bell(capsys):
     assert json.loads(out) == {"value": "5"}
 
 
+def test_large_stirling_and_bell_exit_0(capsys):
+    code, out, _ = run_cli(capsys, "stirling", "--k", "1500", "--j", "700")
+    assert code == 0
+    assert int(json.loads(out)["value"]) > 0
+    code, out, _ = run_cli(capsys, "bell", "--k", "1200")
+    assert code == 0
+    assert int(json.loads(out)["value"]) > 0
+
+
+def test_non_integer_target_exits_1(capsys):
+    target = "[1.9, 2.2]"
+    assert run_cli(capsys, "prob", "--n", "2", "--a", "1", "--target", target)[0] == 1
+
+
 def test_invalid_arguments_exit_1(capsys):
     assert run_cli(capsys, "expand", "--n", "0", "--a", "1")[0] == 1
     assert run_cli(capsys, "expand", "--n", "3", "--a", "x")[0] == 1

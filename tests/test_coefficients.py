@@ -122,6 +122,20 @@ def test_bell_small():
     assert bell(3) == 5  # frozen from enumerating all partitions of a 3-set
 
 
+def test_stirling_and_bell_at_large_k_do_not_recurse():
+    assert stirling2(1500, 2) == 2**1499 - 1
+    assert stirling2(1500, 1499) == math.comb(1500, 2)
+    # Bell triangle: each row starts with the last entry of the row above,
+    # and row k ends with B(k).
+    row = [1]
+    for _ in range(1199):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    assert bell(1200) == row[-1]
+
+
 def test_bell_equals_q_sum_for_all_ones():
     for k in range(1, 7):
         spec = ShuffleSpec(6, (1,) * k)
@@ -364,3 +378,10 @@ def test_spec_validation():
         ShuffleSpec(3, (0,))
     with pytest.raises(ValueError):
         ShuffleSpec(3, (4,))
+
+
+def test_spec_rejects_truncated_sizes():
+    with pytest.raises(ValueError):
+        ShuffleSpec(4, (1.7,))
+    with pytest.raises(ValueError):
+        ShuffleSpec(4, (True,))

@@ -188,6 +188,16 @@ def test_json_roundtrip():
     assert inj.as_json() == {"a": 2, "targets": [3, 2]}
 
 
+def test_non_integer_cards_are_refused():
+    with pytest.raises(ValueError):
+        Permutation((1.9, 2.2))
+    with pytest.raises(ValueError):
+        Permutation.from_json([1.9, 2.2])
+    with pytest.raises(ValueError):
+        Permutation((True, 2))
+    assert Permutation.from_json([2.0, 1.0]).deck == (2, 1)  # integral: kept
+
+
 def test_canonical_order_is_deck_lexicographic():
     perms = list(all_permutations(3))
     assert perms == sorted(perms)

@@ -302,6 +302,17 @@ def test_g_element_json_roundtrip():
     assert all(isinstance(t["coeff"], str) for t in data["terms"])
 
 
+def test_g_element_from_json_rejects_duplicate_decks():
+    deck = [{"face": 1, "card": 1}, {"face": 0, "card": 2}]
+    data = {
+        "n": 2,
+        "group": Z2.as_json(),
+        "terms": [{"deck": deck, "coeff": "3"}, {"deck": deck, "coeff": "5"}],
+    }
+    with pytest.raises(ValueError):
+        GAlgebraElement.from_json(data)
+
+
 def test_g_multiply_rejects_different_groups():
     x = hat_top_to_random(1, 2, Z2)
     y = hat_top_to_random(1, 2, Z3)
