@@ -3,10 +3,11 @@
 ``top_to_random(a, n)`` is the formal sum of every deck reachable by
 removing cards ``1..a`` and reinserting them, each with coefficient 1.
 Products of such sums collapse back to a combination of single
-top-to-random sums; ``expansion`` computes those coefficients through
-``coefficients.q_cardinality`` while ``brute_force_product`` provides the
-independent check by walking every tuple of factor terms, composing each
-tuple left to right, and tallying the outcomes.
+top-to-random sums; ``expansion`` reads those coefficients off one
+round-partition count row (``coefficients._q_row``), while
+``brute_force_product`` provides the independent check by walking every
+tuple of factor terms, composing each tuple left to right, and tallying
+the outcomes.
 
 This module also holds what the plain and faced (``wreath``) algebras
 share: the element body ``_Element`` and the tuple walker
@@ -26,9 +27,9 @@ from collections import Counter
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .coefficients import ShuffleSpec, q_cardinality
+from .coefficients import ShuffleSpec, _q_row
 from .errors import CapExceeded
-from .permutations import Permutation, _compose_decks, _deck_from_targets
+from .permutations import Permutation, _compose_decks, _deck_from_targets, _integer
 
 # Ordered letters, pairwise distinct; the operand type of shuffle_product.
 Word = tuple[int, ...]
@@ -133,7 +134,7 @@ class _Element:
 
     @staticmethod
     def _space_from_json(data: dict) -> tuple:
-        return (int(data["n"]),)
+        return (_integer(data["n"]),)
 
     @classmethod
     def from_json(cls, data: dict):
@@ -260,9 +261,8 @@ def expansion(spec: ShuffleSpec) -> dict[int, int]:
     """Coefficients ``{j: count}`` with the product of the spec's shuffle
     sums equal to ``sum_j count * top_to_random(j, n)``; keys are exactly
     the ``j`` in ``[max(a), min(sum(a), n)]`` with a nonzero count."""
-    return {
-        j: c for j in range(spec.j_min, spec.j_max + 1) if (c := q_cardinality(spec, j))
-    }
+    row = _q_row(spec.a, spec.j_max)
+    return {j: c for j in range(spec.j_min, spec.j_max + 1) if (c := row[j])}
 
 
 def expansion_element(spec: ShuffleSpec) -> AlgebraElement:

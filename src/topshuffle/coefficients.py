@@ -9,11 +9,19 @@ single round touches distinct cards, so the elements of one round always
 land in distinct blocks; conversely, once a final deck is fixed, every
 ``j``-block partition with that round-injectivity property is produced by
 exactly one shuffle sequence.  ``phi`` and ``phi_inverse`` realize the two
-directions of that correspondence, ``iter_segmented_partitions``
-enumerates the partitions, and ``q_cardinality`` counts them without
-enumeration by summing, over the possible counts of fresh cards per round
-(anchor tuples), the number of ways to seat the remaining slots in
-already-opened blocks.
+directions of that correspondence, and ``iter_segmented_partitions``
+enumerates the partitions, anchor tuple by anchor tuple (the counts of
+fresh cards per round).
+
+``q_cardinality`` counts them without enumeration.  ``_q_row`` carries,
+round by round, the weight of the partial partitions by the number of
+blocks opened so far: a round of ``ac`` slots that opens ``l`` new blocks
+chooses its fresh slots in ``comb(ac, l)`` ways and seats the other
+``ac - l`` slots in distinct opened blocks in ``perm(opened, ac - l)``
+ways.  One pass over the rounds gives every count ``q_j`` at once, in
+``O(k * j_max * max(a))`` arithmetic operations, where the anchor tuples
+alone number ``C(k-1, j-1)`` for single-card rounds.  ``stirling2`` and
+``bell`` keep their own recurrence, so they stay an independent check.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ class ShuffleSpec:
     a: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _integer(self.n))
         object.__setattr__(self, "a", tuple(_integer(x) for x in self.a))
         if self.n < 1:
             raise ValueError("deck size must be at least 1")
@@ -156,18 +165,30 @@ def q_cardinality(spec: ShuffleSpec, j: int) -> int:
 
 
 def _q_count(a: tuple[int, ...], j: int) -> int:
-    """Anchor-sum count, with no deck-size truncation."""
-    total = 0
-    for ls in _anchor_tuples(a, j):
-        opened = a[0]
-        prod = 1
-        for ac, lc in zip(a[1:], ls):
-            prod *= math.comb(ac, lc) * math.perm(opened, ac - lc)
-            if prod == 0:
-                break
-            opened += lc
-        total += prod
-    return total
+    """Round-partition count at ``j`` blocks, with no deck-size truncation."""
+    return _q_row(a, j)[j] if j >= 0 else 0
+
+
+def _q_row(a: tuple[int, ...], top: int) -> list[int]:
+    """``[q_0, ..., q_top]``: round-partition counts by number of blocks.
+
+    ``row[o]`` weighs the partial partitions of the rounds so far that
+    opened ``o`` blocks.  Blocks never close, so states above ``top`` are
+    dropped.
+    """
+    row = [0] * (top + 1)
+    if a[0] > top:
+        return row
+    row[a[0]] = 1
+    for ac in a[1:]:
+        fresh = [math.comb(ac, l) for l in range(ac + 1)]
+        nxt = [0] * (top + 1)
+        for opened, weight in enumerate(row):
+            if weight:
+                for l in range(max(0, ac - opened), min(ac, top - opened) + 1):
+                    nxt[opened + l] += weight * fresh[l] * math.perm(opened, ac - l)
+        row = nxt
+    return row
 
 
 @dataclass(frozen=True)

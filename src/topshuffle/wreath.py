@@ -38,6 +38,7 @@ from .errors import CapExceeded
 from .permutations import (
     Permutation,
     _deck_from_targets,
+    _integer,
     _inverse_deck,
     _min_shuffle_raw,
 )
@@ -56,7 +57,7 @@ class FiniteGroup:
     __slots__ = ("cayley", "inverse")
 
     def __init__(self, cayley: Sequence[Sequence[int]]):
-        table = tuple(tuple(int(x) for x in row) for row in cayley)
+        table = tuple(tuple(_integer(x) for x in row) for row in cayley)
         m = len(table)
         if m == 0:
             raise ValueError("group must have at least one element")
@@ -135,7 +136,7 @@ class FiniteGroup:
     @classmethod
     def from_json(cls, data: dict) -> "FiniteGroup":
         group = cls(data["cayley"])
-        if "order" in data and int(data["order"]) != group.order:
+        if "order" in data and _integer(data["order"]) != group.order:
             raise ValueError("declared order does not match table size")
         return group
 
@@ -148,8 +149,16 @@ class GPermutation:
     deck: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        deck = tuple((int(f), int(c)) for f, c in self.deck)
-        object.__setattr__(self, "deck", deck)
+        deck = self.deck
+        if type(deck) is not tuple or not all(
+            type(card) is tuple
+            and len(card) == 2
+            and type(card[0]) is int
+            and type(card[1]) is int
+            for card in deck
+        ):
+            deck = tuple((_integer(f), _integer(c)) for f, c in deck)
+            object.__setattr__(self, "deck", deck)
         n = len(deck)
         if n == 0:
             raise ValueError("empty deck")
@@ -194,7 +203,7 @@ class GPermutation:
 
     @classmethod
     def from_json(cls, data: Sequence[dict]) -> "GPermutation":
-        return cls(tuple((int(b["face"]), int(b["card"])) for b in data))
+        return cls(tuple((b["face"], b["card"]) for b in data))
 
 
 def _check_faces(gp: GPermutation, group: FiniteGroup) -> None:
@@ -262,7 +271,7 @@ class GAlgebraElement(_Element):
     @staticmethod
     def _space_from_json(data: dict) -> tuple[int, FiniteGroup]:
         group = FiniteGroup.from_json(data["group"])
-        return int(data["n"]), group
+        return _integer(data["n"]), group
 
     def __repr__(self) -> str:
         return (
@@ -383,12 +392,20 @@ def is_hat_term(target: GPermutation, c: int, group: FiniteGroup) -> bool:
     Needs the underlying deck to be reachable by a ``c``-card shuffle and
     every card beyond ``c`` to show the identity face.
     """
+    return max(1, _hat_floor(target, group)) <= c <= target.n
+
+
+def _hat_floor(target: GPermutation, group: FiniteGroup) -> int:
+    """``is_hat_term(target, c, group)`` holds exactly for
+    ``max(1, _hat_floor(target, group)) <= c <= n``.  The floor is the
+    larger of the underlying deck's minimum shuffle size and the highest
+    card showing a non-identity face."""
     _check_faces(target, group)
-    if not 1 <= c <= target.n:
-        return False
-    if _min_shuffle_raw(tuple(card for _, card in target.deck)) > c:
-        return False
-    return all(f == 0 for f, card in target.deck if card > c)
+    deck = target.deck
+    return max(
+        _min_shuffle_raw(tuple(card for _, card in deck)),
+        max((card for f, card in deck if f), default=0),
+    )
 
 
 def bar_element(p: Permutation, group: FiniteGroup) -> GAlgebraElement:

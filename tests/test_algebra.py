@@ -268,3 +268,12 @@ def test_walk_without_row_cache_matches_expansion(monkeypatch):
     assert brute_force_product(spec) == expansion_element(spec)
     z2 = FiniteGroup.cyclic(2)
     assert g_brute_force_product(spec, z2) == g_expansion_element(spec, z2)
+
+
+def test_element_from_json_refuses_non_integer_deck_size():
+    data = top_to_random(1, 2).as_json()
+    with pytest.raises(ValueError):
+        AlgebraElement.from_json({**data, "n": 2.5})
+    with pytest.raises(ValueError):
+        AlgebraElement.from_json({**data, "n": "2"})
+    assert AlgebraElement.from_json({**data, "n": 2.0}) == top_to_random(1, 2)

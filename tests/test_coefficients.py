@@ -385,3 +385,14 @@ def test_spec_rejects_truncated_sizes():
         ShuffleSpec(4, (1.7,))
     with pytest.raises(ValueError):
         ShuffleSpec(4, (True,))
+
+
+def test_spec_rejects_non_integer_deck_size():
+    with pytest.raises(ValueError):
+        ShuffleSpec(4.5, (1,))
+    with pytest.raises(ValueError):
+        ShuffleSpec(True, (1,))
+    with pytest.raises(ValueError):
+        ShuffleSpec("4", (1,))
+    assert ShuffleSpec(4.0, (1,)).n == 4  # integral: kept
+    assert type(ShuffleSpec(4.0, (1,)).n) is int

@@ -1,0 +1,172 @@
+"""The round-by-round count row, checked against an anchor-tuple sum and
+against identities that hold far beyond brute-force reach."""
+
+import itertools
+import math
+import types
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from topshuffle import (
+    FiniteGroup,
+    GPermutation,
+    Permutation,
+    ShuffleSpec,
+    algebra,
+    anchor_tuples,
+    expansion,
+    g_ways_to_reach,
+    is_hat_term,
+    min_shuffle_size,
+    q_cardinality,
+    total_outcomes,
+    ways_to_reach,
+    wreath,
+)
+from topshuffle.coefficients import _q_count, _q_row, _stirling_row
+
+DECK = 52
+
+
+def anchor_sum(spec, j):
+    """The counting formula term by term: one product per anchor tuple."""
+    total = 0
+    for ls in anchor_tuples(spec, j):
+        opened, prod = spec.a[0], 1
+        for ac, lc in zip(spec.a[1:], ls):
+            prod *= math.comb(ac, lc) * math.perm(opened, ac - lc)
+            opened += lc
+        total += prod
+    return total
+
+
+def test_row_equals_anchor_sum_exhaustively():
+    checked = 0
+    for n in range(1, 8):
+        for k in range(1, 5):
+            for a in itertools.product(range(1, n + 1), repeat=k):
+                spec = ShuffleSpec(n, a)
+                row = _q_row(a, spec.j_max)
+                assert len(row) == spec.j_max + 1
+                for j in range(spec.j_max + 1):
+                    assert row[j] == anchor_sum(spec, j), (n, a, j)
+                    assert q_cardinality(spec, j) == row[j]
+                    assert _q_count(a, j) == row[j]
+                checked += 1
+    assert checked == sum(n**k for n in range(1, 8) for k in range(1, 5))
+
+
+def test_count_without_truncation_reaches_past_the_deck():
+    assert _q_count((2, 2), 4) == 1  # both slots of round 2 open blocks
+    assert _q_count((2, 2), 5) == 0
+    assert _q_count((2, 2), -1) == 0
+    assert _q_row((3, 1), 2) == [0, 0, 0]  # round 1 alone opens 3 blocks
+
+
+@pytest.mark.parametrize("k", [*range(1, 31), 500])
+def test_all_singles_row_is_stirling(k):
+    assert _q_row((1,) * k, k) == _stirling_row(k, k)
+
+
+def test_truncated_all_singles_row_is_a_stirling_prefix():
+    assert _q_row((1,) * 300, DECK) == _stirling_row(300, DECK)
+
+
+sizes = st.lists(st.integers(1, DECK), min_size=1, max_size=40).map(tuple)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=sizes)
+def test_mass_identity_at_52_cards(a):
+    """sum_j q_j * P(n, j) = prod_i P(n, a_i): every outcome tuple lands
+    in exactly one term of the expansion."""
+    spec = ShuffleSpec(DECK, a)
+    mass = sum(q * math.perm(DECK, j) for j, q in expansion(spec).items())
+    assert mass == math.prod(math.perm(DECK, ai) for ai in a)
+    assert mass == total_outcomes(spec)
+
+
+def deck_with_min_shuffle(n, m):
+    """Sorted deck with card ``m`` moved to the bottom (identity for 0)."""
+    if m == 0:
+        return Permutation(tuple(range(1, n + 1)))
+    return Permutation(tuple(c for c in range(1, n + 1) if c != m) + (m,))
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.lists(st.integers(1, DECK), min_size=1, max_size=12).map(tuple))
+def test_ways_over_shuffle_classes_sum_to_outcomes(a):
+    """Decks with minimum shuffle size at most ``c`` number ``P(n, c)``,
+    and ``ways_to_reach`` depends only on that size, so weighing one
+    representative per size by its class size counts every outcome once."""
+    spec = ShuffleSpec(DECK, a)
+    total = 0
+    for m in range(DECK):
+        target = deck_with_min_shuffle(DECK, m)
+        assert min_shuffle_size(target) == m
+        members = math.perm(DECK, m) - (math.perm(DECK, m - 1) if m else 0)
+        total += members * ways_to_reach(target, spec)
+    assert total == total_outcomes(spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_faced_ways_match_term_by_term_sum(data):
+    n = data.draw(st.integers(1, 12))
+    group = FiniteGroup.cyclic(data.draw(st.integers(1, 4)))
+    a = tuple(data.draw(st.lists(st.integers(1, n), min_size=1, max_size=6)))
+    cards = data.draw(st.permutations(range(1, n + 1)))
+    faced = data.draw(st.sets(st.integers(1, n), max_size=3))
+    spin = st.integers(min(1, group.order - 1), group.order - 1)
+    faces = [data.draw(spin) if c in faced else 0 for c in cards]
+    target = GPermutation(tuple(zip(faces, cards)))
+    spec = ShuffleSpec(n, a)
+    expected = sum(
+        q_cardinality(spec, c) * group.order ** (spec.total - c)
+        for c in range(spec.j_min, spec.j_max + 1)
+        if is_hat_term(target, c, group)
+    )
+    assert g_ways_to_reach(target, spec, group) == expected
+
+
+# The oracle must never share a code path with the closed form ---------------
+
+CLOSED_FORM = {"_q_row", "_q_count", "q_cardinality", "expansion"}
+
+
+def reachable_names(fn):
+    """Names read by ``fn``'s code and its nested code, followed through
+    every package function those names resolve to."""
+    names, seen, todo = set(), set(), [fn]
+    while todo:
+        f = todo.pop()
+        if f in seen:
+            continue
+        seen.add(f)
+        codes = [f.__code__]
+        while codes:
+            code = codes.pop()
+            names.update(code.co_names)
+            for name in code.co_names:
+                g = f.__globals__.get(name)
+                if isinstance(g, types.FunctionType) and g.__module__.startswith(
+                    "topshuffle"
+                ):
+                    todo.append(g)
+            codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    return names
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [algebra._walk_tuples, algebra.brute_force_product, wreath.g_brute_force_product],
+)
+def test_oracle_never_reaches_the_closed_form(oracle):
+    assert not reachable_names(oracle) & CLOSED_FORM
+
+
+def test_oracle_guard_sees_the_closed_form_where_it_is_used():
+    assert "expansion" in reachable_names(algebra.expansion_element)
+    assert "_q_row" in reachable_names(wreath.g_expansion_element)

@@ -318,3 +318,36 @@ def test_g_multiply_rejects_different_groups():
     y = hat_top_to_random(1, 2, Z3)
     with pytest.raises(ValueError):
         g_multiply(x, y)
+
+
+def test_faced_deck_refuses_non_integer_faces_and_cards():
+    with pytest.raises(ValueError):
+        GPermutation(((0.9, 1.7), (0, 2)))
+    with pytest.raises(ValueError):
+        GPermutation(((0, 1), (True, 2)))
+    with pytest.raises(ValueError):
+        GPermutation.from_json([{"face": 0.9, "card": 1}, {"face": 0, "card": 2}])
+    with pytest.raises(ValueError):
+        GPermutation.from_json([{"face": 0, "card": 1.7}, {"face": 0, "card": 2}])
+    kept = GPermutation.from_json([{"face": 1.0, "card": 2}, {"face": 0, "card": 1.0}])
+    assert kept.deck == ((1, 2), (0, 1))  # integral: kept
+    assert GPermutation([[1, 2], [0, 1]]).deck == ((1, 2), (0, 1))
+
+
+def test_group_table_refuses_non_integer_entries():
+    with pytest.raises(ValueError):
+        FiniteGroup([[0.0, 1.9], [1, 0]])
+    with pytest.raises(ValueError):
+        FiniteGroup([[0, True], [1, 0]])
+    with pytest.raises(ValueError):
+        FiniteGroup.from_json({"order": 2.5, "cayley": [[0, 1], [1, 0]]})
+    assert FiniteGroup([[0.0, 1.0], [1, 0]]) == Z2  # integral: kept
+    assert FiniteGroup.from_json({"order": 2.0, "cayley": [[0, 1], [1, 0]]}) == Z2
+
+
+def test_g_element_from_json_refuses_non_integer_deck_size():
+    data = hat_top_to_random(1, 2, Z2).as_json()
+    with pytest.raises(ValueError):
+        GAlgebraElement.from_json({**data, "n": 2.5})
+    with pytest.raises(ValueError):
+        GAlgebraElement.from_json({**data, "n": True})
