@@ -179,10 +179,20 @@ def _top_to_random_decks(a: int, n: int) -> Iterator[tuple[int, ...]]:
         yield _deck_from_targets(targets, n)
 
 
+def _check_term_count(n: int, sizes, cap: int, order: int = 1) -> None:
+    """Refuse up front to materialize the ``P(n, j) * order**j`` terms of
+    every shuffle sum of size ``j`` in ``sizes`` when they exceed ``cap``."""
+    required = sum(math.perm(n, j) * order**j for j in sizes)
+    if required > cap:
+        raise CapExceeded(required, cap)
+
+
 def top_to_random(a: int, n: int) -> AlgebraElement:
-    """Sum of all P(n, a) decks reachable by reinserting cards ``1..a``."""
+    """Sum of all P(n, a) decks reachable by reinserting cards ``1..a``;
+    refused with ``CapExceeded`` above ``DEFAULT_TUPLE_CAP`` terms."""
     if not 1 <= a <= n:
         raise ValueError(f"shuffle size {a} outside 1..{n}")
+    _check_term_count(n, (a,), DEFAULT_TUPLE_CAP)
     return AlgebraElement(n, {Permutation(d): 1 for d in _top_to_random_decks(a, n)})
 
 
@@ -265,11 +275,16 @@ def expansion(spec: ShuffleSpec) -> dict[int, int]:
     return {j: c for j in range(spec.j_min, spec.j_max + 1) if (c := row[j])}
 
 
-def expansion_element(spec: ShuffleSpec) -> AlgebraElement:
+def expansion_element(
+    spec: ShuffleSpec, cap: int = DEFAULT_TUPLE_CAP
+) -> AlgebraElement:
     """The expansion materialized as a single element, for comparison
-    against ``brute_force_product``."""
+    against ``brute_force_product``.  Refuses up front when the shuffle
+    sums it adds up have more than ``cap`` terms in total."""
+    counts = expansion(spec)
+    _check_term_count(spec.n, counts, cap)
     terms: Counter = Counter()
-    for j, c in expansion(spec).items():
+    for j, c in counts.items():
         for d in _top_to_random_decks(j, spec.n):
             terms[d] += c
     return AlgebraElement(spec.n, {Permutation(d): c for d, c in terms.items()})

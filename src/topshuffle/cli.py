@@ -162,12 +162,12 @@ def _element_for(spec: ShuffleSpec, group, cap: int, brute: bool):
         return (
             algebra.brute_force_product(spec, cap)
             if brute
-            else algebra.expansion_element(spec)
+            else algebra.expansion_element(spec, cap)
         )
     return (
         wreath.g_brute_force_product(spec, group, cap)
         if brute
-        else wreath.g_expansion_element(spec, group)
+        else wreath.g_expansion_element(spec, group, cap)
     )
 
 

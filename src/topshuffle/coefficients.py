@@ -22,25 +22,23 @@ ways.  One pass over the rounds gives every count ``q_j`` at once, in
 ``O(k * j_max * max(a))`` arithmetic operations, where the anchor tuples
 alone number ``C(k-1, j-1)`` for single-card rounds.  ``stirling2`` and
 ``bell`` keep their own recurrence, so they stay an independent check.
+
+``phi_inverse`` unwinds one round per pass over the deck: the deck a round
+found is the cards its slots touched, in slot order, followed by the other
+cards in their current order, and the round's shuffle lists each current
+card's position in that deck.  The slot tables of a spec (``bounds``, the
+round of each slot, the slots of each round) are built once per ``a``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .permutations import (
-    Permutation,
-    _compose_decks,
-    _deck_from_targets,
-    _integer,
-    _inverse_deck,
-    _min_shuffle_raw,
-    min_shuffle_size,
-)
+from .permutations import Permutation, _integer, min_shuffle_size
 
 # A shuffle sequence: one permutation per round.
 ShuffleTuple = tuple[Permutation, ...]
@@ -85,10 +83,22 @@ class ShuffleSpec:
     def bounds(self) -> tuple[int, ...]:
         """Cumulative slot counts: round ``i`` owns elements
         ``bounds[i-1]+1 .. bounds[i]``."""
-        out = [0]
-        for x in self.a:
-            out.append(out[-1] + x)
-        return tuple(out)
+        return _round_tables(self.a).bounds
+
+
+class _RoundTables(NamedTuple):
+    bounds: tuple[int, ...]
+    round_of: tuple[int, ...]  # 1-based round of each slot element; index 0 unused
+    slots: tuple[range, ...]  # the slot elements of each round
+
+
+@lru_cache(maxsize=1024)
+def _round_tables(a: tuple[int, ...]) -> _RoundTables:
+    """The slot tables of a spec, built once per ``a``."""
+    bounds = tuple(itertools.accumulate(a, initial=0))
+    round_of = (0,) + tuple(i for i, x in enumerate(a, start=1) for _ in range(x))
+    slots = tuple(range(lo + 1, hi + 1) for lo, hi in zip(bounds, bounds[1:]))
+    return _RoundTables(bounds, round_of, slots)
 
 
 def falling_factorial(m: int, l: int) -> int:
@@ -197,30 +207,34 @@ class SegmentedPartition:
     order of block minima."""
 
     parts: tuple[frozenset[int], ...]
+    size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         parts = self.parts
-        if type(parts) is not tuple or any(type(p) is not frozenset for p in parts):
-            parts = tuple(frozenset(int(e) for e in part) for part in self.parts)
-        if not parts or any(not part for part in parts):
+        # Only frozensets of plain ints skip the conversion: ``True == 1``
+        # would pass every check below.
+        if (
+            type(parts) is not tuple
+            or any(type(p) is not frozenset for p in parts)
+            or not {int}.issuperset(map(type, itertools.chain.from_iterable(parts)))
+        ):
+            parts = tuple(frozenset(_integer(e) for e in part) for part in parts)
+        if not parts or not all(parts):
             raise ValueError("blocks must be nonempty")
         parts = tuple(sorted(parts, key=min))
         object.__setattr__(self, "parts", parts)
-        seen: set[int] = set()
-        for part in parts:
-            if part & seen:
-                raise ValueError("blocks must be disjoint")
-            seen |= part
-        if seen != set(range(1, len(seen) + 1)):
+        union = frozenset().union(*parts)
+        size = sum(map(len, parts))
+        if len(union) != size:
+            raise ValueError("blocks must be disjoint")
+        # ``size`` distinct integers between 1 and ``size`` are all of 1..size.
+        if min(union) != 1 or max(union) != size:
             raise ValueError("blocks must cover an initial integer range")
+        object.__setattr__(self, "size", size)
 
     @property
     def j(self) -> int:
         return len(self.parts)
-
-    @property
-    def size(self) -> int:
-        return sum(len(part) for part in self.parts)
 
     def block_of(self, element: int) -> int:
         """1-based index of the block containing ``element``."""
@@ -237,11 +251,6 @@ class SegmentedPartition:
         return cls(tuple(frozenset(part) for part in data))
 
 
-def _round_of(element: int, bounds: tuple[int, ...]) -> int:
-    """1-based round owning this slot element, derived from the bounds."""
-    return bisect_left(bounds, element)
-
-
 def respects_rounds(alpha: SegmentedPartition, spec: ShuffleSpec) -> bool:
     """True iff the slots of every round lie in pairwise distinct blocks.
 
@@ -250,20 +259,19 @@ def respects_rounds(alpha: SegmentedPartition, spec: ShuffleSpec) -> bool:
     """
     if alpha.size != spec.total:
         return False
-    bounds = spec.bounds()
+    round_of = _round_tables(spec.a).round_of
     for part in alpha.parts:
-        rounds = [_round_of(e, bounds) for e in part]
-        if len(rounds) != len(set(rounds)):
+        if len({round_of[e] for e in part}) != len(part):
             return False
     return True
 
 
 def anchor_signature(alpha: SegmentedPartition, spec: ShuffleSpec) -> tuple[int, ...]:
     """How many blocks each of rounds ``2..k`` opened (their minima counts)."""
-    bounds = spec.bounds()
+    round_of = _round_tables(spec.a).round_of
     counts = [0] * spec.k
     for part in alpha.parts:
-        counts[_round_of(min(part), bounds) - 1] += 1
+        counts[round_of[min(part)] - 1] += 1
     return tuple(counts[1:])
 
 
@@ -277,12 +285,8 @@ def iter_segmented_partitions(
     No deck-size truncation is applied here; callers pass ``j <= n``.
     """
     a = spec.a
-    k = spec.k
-    bounds = spec.bounds()
+    segments = _round_tables(a).slots[1:]
     for ls in _anchor_tuples(a, j):
-        segments = [
-            list(range(bounds[c - 1] + 1, bounds[c] + 1)) for c in range(2, k + 1)
-        ]
         anchor_choices = [
             itertools.combinations(seg, lc) for seg, lc in zip(segments, ls)
         ]
@@ -326,24 +330,24 @@ def phi(sigmas: Sequence[Permutation], spec: ShuffleSpec) -> SegmentedPartition:
     if len(sigmas) != spec.k:
         raise ValueError(f"expected {spec.k} shuffles, got {len(sigmas)}")
     n = spec.n
-    touched: list[set[int]] = [set() for _ in range(n)]
-    deck = tuple(range(1, n + 1))
-    element = 0
+    deck = range(1, n + 1)
+    touched: list[int] = []  # the card each slot touched, slot by slot
     for sigma, ai in zip(sigmas, spec.a):
         if sigma.n != n:
             raise ValueError(f"deck size {sigma.n} does not match spec size {n}")
-        if _min_shuffle_raw(sigma.deck) > ai:
+        if min_shuffle_size(sigma) > ai:
             raise ValueError(
                 f"{sigma.deck!r} cannot result from shuffling {ai} cards"
             )
-        for d in range(ai):
-            touched[deck[d] - 1].add(element + d + 1)
-        element += ai
-        deck = _compose_decks(deck, sigma.deck)
-    j = sum(1 for s in touched if s)
-    if any(not touched[c] for c in range(j)):
+        touched += deck[:ai]
+        deck = [deck[c - 1] for c in sigma.deck]
+    blocks: list[list[int]] = [[] for _ in range(n)]
+    for element, card in enumerate(touched, start=1):
+        blocks[card - 1].append(element)
+    j = sum(1 for b in blocks if b)
+    if not all(blocks[:j]):
         raise ValueError("touched cards do not form an initial run")
-    return SegmentedPartition(tuple(frozenset(touched[c]) for c in range(j)))
+    return SegmentedPartition(tuple(frozenset(b) for b in blocks[:j]))
 
 
 def phi_inverse(
@@ -352,9 +356,12 @@ def phi_inverse(
     """The unique shuffle sequence with round-partition ``alpha`` whose
     left-to-right composite is ``t``.
 
-    Unwinds the rounds from the last: in each intermediate deck, the slots
-    of the current round must have sent their cards to the positions those
-    cards now occupy.
+    Unwinds the rounds from the last, one pass each.  Round ``i`` took its
+    slots' cards (block ``b`` is card ``b``) off the top of the deck it
+    found, in slot order, and left the other cards in their order, so that
+    deck is those cards followed by the rest of the current deck; ``sigma_i``
+    lists each current card's position in it.  The unwound deck must end
+    sorted.
     """
     j = alpha.j
     n = spec.n
@@ -371,22 +378,23 @@ def phi_inverse(
     if not respects_rounds(alpha, spec):
         raise ValueError("some round has two slots in the same block")
 
-    card_of = [0] * (spec.total + 1)
+    card_of = [0] * spec.total
     for b, part in enumerate(alpha.parts, start=1):
         for e in part:
-            card_of[e] = b
+            card_of[e - 1] = b
 
     bounds = spec.bounds()
-    deck = t.deck
+    deck = list(t.deck)
     sigmas: list[Permutation] = [None] * spec.k  # type: ignore[list-item]
-    for i in range(spec.k, 0, -1):
-        pos = [0] * (n + 1)
-        for idx, c in enumerate(deck):
-            pos[c] = idx + 1
-        targets = [pos[card_of[bounds[i - 1] + d]] for d in range(1, spec.a[i - 1] + 1)]
-        sdeck = _deck_from_targets(targets, n)
-        sigmas[i - 1] = Permutation(sdeck)
-        deck = _compose_decks(deck, _inverse_deck(sdeck))
-    if deck != tuple(range(1, n + 1)):
+    for i in range(spec.k - 1, -1, -1):
+        top = card_of[bounds[i] : bounds[i + 1]]
+        touched = set(top)
+        before = top + [c for c in deck if c not in touched]
+        position = [0] * (n + 1)
+        for p, c in enumerate(before, start=1):
+            position[c] = p
+        sigmas[i] = Permutation(tuple([position[c] for c in deck]))
+        deck = before
+    if deck != list(range(1, n + 1)):
         raise ValueError("partition does not rebuild the sorted deck")
     return tuple(sigmas)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 
@@ -46,6 +47,11 @@ class Permutation:
     @property
     def n(self) -> int:
         return len(self.deck)
+
+    @cached_property
+    def _min_shuffle(self) -> int:
+        """``min_shuffle_size(self)``, computed once per object."""
+        return _min_shuffle_raw(self.deck)
 
     def position_of(self, card: int) -> int:
         """Position to which this permutation sends ``card``."""
@@ -97,7 +103,7 @@ def min_shuffle_size(p: Permutation) -> int:
     yields 0; consumers clamp with ``max(1, _)`` when a size of at least
     one card is required.
     """
-    return _min_shuffle_raw(p.deck)
+    return p._min_shuffle
 
 
 def is_term_of(p: Permutation, c: int) -> bool:
@@ -122,7 +128,8 @@ class Injection:
     targets: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
+        object.__setattr__(self, "a", _integer(self.a))
+        object.__setattr__(self, "targets", tuple(_integer(t) for t in self.targets))
         if self.a < 0:
             raise ValueError("domain size must be nonnegative")
         if len(self.targets) != self.a:
@@ -147,7 +154,7 @@ class Injection:
 
     @classmethod
     def from_json(cls, data: dict) -> "Injection":
-        return cls(int(data["a"]), tuple(int(t) for t in data["targets"]))
+        return cls(data["a"], tuple(data["targets"]))
 
 
 def as_injection(p: Permutation) -> Injection:

@@ -29,6 +29,7 @@ from .algebra import (
     DEFAULT_TUPLE_CAP,
     AlgebraElement,
     _Element,
+    _check_term_count,
     _walk_tuples,
     expansion,
     predicted_tuple_count,
@@ -293,9 +294,11 @@ def _hat_decks_raw(a: int, n: int, order: int) -> Iterator[tuple]:
 def hat_top_to_random(a: int, n: int, group: FiniteGroup) -> GAlgebraElement:
     """Sum of every deck reachable by reinserting cards ``1..a`` with each
     of their faces spun independently; untouched cards keep the identity
-    face.  Has ``order**a * P(n, a)`` terms, all with coefficient 1."""
+    face.  Has ``order**a * P(n, a)`` terms, all with coefficient 1;
+    refused with ``CapExceeded`` above ``DEFAULT_TUPLE_CAP`` of them."""
     if not 1 <= a <= n:
         raise ValueError(f"shuffle size {a} outside 1..{n}")
+    _check_term_count(n, (a,), DEFAULT_TUPLE_CAP, group.order)
     return GAlgebraElement(
         n, group, {_from_raw(r): 1 for r in _hat_decks_raw(a, n, group.order)}
     )
@@ -376,11 +379,16 @@ def g_expansion(spec: ShuffleSpec, group: FiniteGroup) -> dict[int, int]:
     }
 
 
-def g_expansion_element(spec: ShuffleSpec, group: FiniteGroup) -> GAlgebraElement:
+def g_expansion_element(
+    spec: ShuffleSpec, group: FiniteGroup, cap: int = DEFAULT_TUPLE_CAP
+) -> GAlgebraElement:
     """The faced expansion materialized as one element, for comparison
-    against ``g_brute_force_product``."""
+    against ``g_brute_force_product``.  Refuses up front when the faced
+    shuffle sums it adds up have more than ``cap`` terms in total."""
+    counts = g_expansion(spec, group)
+    _check_term_count(spec.n, counts, cap, group.order)
     terms: Counter = Counter()
-    for c, coeff in g_expansion(spec, group).items():
+    for c, coeff in counts.items():
         for raw in _hat_decks_raw(c, spec.n, group.order):
             terms[raw] += coeff
     return GAlgebraElement(spec.n, group, {_from_raw(r): c for r, c in terms.items()})

@@ -176,6 +176,20 @@ def test_brute_cap_is_a_hard_error():
     assert err.value.cap == 100
 
 
+def test_materializations_refuse_above_the_cap_up_front():
+    with pytest.raises(CapExceeded) as err:
+        top_to_random(12, 12)
+    assert err.value.required == math.factorial(12)
+    assert err.value.cap == algebra.DEFAULT_TUPLE_CAP
+    with pytest.raises(CapExceeded) as err:
+        expansion_element(ShuffleSpec(11, (11,)))
+    assert err.value.required == math.factorial(11)
+    with pytest.raises(CapExceeded) as err:
+        expansion_element(ShuffleSpec(4, (2, 1)), cap=35)
+    assert err.value.required == math.perm(4, 2) + math.perm(4, 3)
+    assert len(expansion_element(ShuffleSpec(4, (2, 1)), cap=36)) == 24
+
+
 # expansion ----------------------------------------------------------------------
 
 def test_expansion_three_singles():

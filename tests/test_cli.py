@@ -171,6 +171,16 @@ def test_non_integer_target_exits_1(capsys):
     assert run_cli(capsys, "prob", "--n", "2", "--a", "1", "--target", target)[0] == 1
 
 
+def test_non_integer_partition_exits_1(capsys):
+    for alpha in ("[[true,2],[3]]", "[[1.5,2],[3]]"):
+        code, out, err = run_cli(
+            capsys, "phi-inverse", "--n", "3", "--a", "1,2",
+            "--alpha", alpha, "--target", "[2,1,3]",
+        )
+        assert (code, out) == (1, "")
+        assert "not an integer" in err
+
+
 def test_invalid_arguments_exit_1(capsys):
     assert run_cli(capsys, "expand", "--n", "0", "--a", "1")[0] == 1
     assert run_cli(capsys, "expand", "--n", "3", "--a", "x")[0] == 1

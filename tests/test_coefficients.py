@@ -366,6 +366,20 @@ def test_partition_rejects_bad_shapes():
         SegmentedPartition((frozenset(), frozenset({1})))
 
 
+def test_partition_refuses_non_integer_elements():
+    with pytest.raises(ValueError):
+        SegmentedPartition(([1.7, 2], [3]))
+    with pytest.raises(ValueError):
+        SegmentedPartition.from_json([[True, 2], [3]])
+    with pytest.raises(ValueError):  # True == 1 would cover 1..3
+        SegmentedPartition((frozenset({True, 2}), frozenset({3})))
+    with pytest.raises(ValueError):
+        SegmentedPartition((frozenset({1}), frozenset({2.5})))
+    kept = SegmentedPartition.from_json([[1.0, 2], [3.0]])  # integral: kept
+    assert kept == SegmentedPartition.from_json([[1, 2], [3]])
+    assert all(type(e) is int for part in kept.parts for e in part)
+
+
 def test_partition_json_roundtrip():
     alpha = SegmentedPartition((frozenset({1, 3}), frozenset({2})))
     assert SegmentedPartition.from_json(alpha.as_json()) == alpha

@@ -198,6 +198,22 @@ def test_non_integer_cards_are_refused():
     assert Permutation.from_json([2.0, 1.0]).deck == (2, 1)  # integral: kept
 
 
+def test_non_integer_injections_are_refused():
+    with pytest.raises(ValueError):
+        Injection(2, (3.7, 2))
+    with pytest.raises(ValueError):
+        Injection(2, (True, 3))
+    with pytest.raises(ValueError):
+        Injection(2.9, (3, 2))
+    with pytest.raises(ValueError):
+        Injection.from_json({"a": 2.9, "targets": [3, 2]})
+    with pytest.raises(ValueError):
+        Injection.from_json({"a": True, "targets": [2]})
+    kept = Injection.from_json({"a": 2.0, "targets": [3.0, 2]})  # integral: kept
+    assert kept == Injection(2, (3, 2))
+    assert all(type(t) is int for t in kept.targets)
+
+
 def test_canonical_order_is_deck_lexicographic():
     perms = list(all_permutations(3))
     assert perms == sorted(perms)

@@ -192,6 +192,19 @@ def test_factorization_enumeration_cap():
         factorization_counts_by_enumeration(9, S3, cap=10**6)
 
 
+def test_faced_materializations_refuse_above_the_cap_up_front():
+    with pytest.raises(CapExceeded) as err:
+        hat_top_to_random(8, 8, Z2)
+    assert err.value.required == 40320 * 2**8
+    with pytest.raises(CapExceeded) as err:
+        g_expansion_element(ShuffleSpec(7, (7,)), Z3)
+    assert err.value.required == 5040 * 3**7
+    with pytest.raises(CapExceeded) as err:
+        g_expansion_element(ShuffleSpec(2, (1, 1)), Z2, cap=11)
+    assert err.value.required == 2 * 2 + 2 * 2**2
+    assert len(g_expansion_element(ShuffleSpec(2, (1, 1)), Z2, cap=12)) == 8
+
+
 # g_expansion and the oracle ---------------------------------------------------------
 
 def test_g_expansion_trivial_group_matches_plain():
