@@ -5,16 +5,17 @@ removing cards ``1..a`` and reinserting them, each with coefficient 1.
 Products of such sums collapse back to a combination of single
 top-to-random sums; ``expansion`` reads those coefficients off one
 round-partition count row (``coefficients._q_row``), while
-``brute_force_product`` provides the independent check by walking every
-tuple of factor terms, composing each tuple left to right, and tallying
-the outcomes.
+``brute_force_product`` provides the independent check by counting every
+tuple of factor terms by its left-to-right composite, in a fold over the
+factors: each distinct deck reached so far, with its number of tuple
+prefixes, is composed once with every term of the next factor.
 
 This module also holds what the plain and faced (``wreath``) algebras
-share: the element body ``_Element`` and the tuple walker
-``_walk_tuples`` behind both ``brute_force_product`` and
-``wreath.g_brute_force_product``.  The walker shares no code with
-``expansion``, ``expansion_element`` or ``wreath.g_expansion*``, so the
-oracle stays an independent check of the closed form.
+share: the element body ``_Element`` and the fold ``_walk_tuples`` behind
+both ``brute_force_product`` and ``wreath.g_brute_force_product``.  The
+fold shares no code with ``expansion``, ``expansion_element`` or
+``wreath.g_expansion*``, so the oracle stays an independent check of the
+closed form.
 
 All coefficients are exact arbitrary-precision integers.
 """
@@ -24,20 +25,18 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .coefficients import ShuffleSpec, _q_row
 from .errors import CapExceeded
-from .permutations import Permutation, _compose_decks, _deck_from_targets, _integer
+from .permutations import Permutation, _compose_decks, _integer
 
 # Ordered letters, pairwise distinct; the operand type of shuffle_product.
 Word = tuple[int, ...]
 
 DEFAULT_TUPLE_CAP = 10**7
-
-# Stop memoizing last-factor rows once the cache holds this many states.
-_ROW_CACHE_LIMIT = 2_000_000
 
 
 def shuffle_product(u: Sequence[int], v: Sequence[int]) -> list[Word]:
@@ -125,6 +124,18 @@ class _Element:
     def __len__(self) -> int:
         return len(self._terms)
 
+    def _convolve(self, other, cap: int, encode, compose_row, decode):
+        """Convolution product in a raw form where ``compose_row(r, rs)`` lists
+        ``r`` composed with each of ``rs``; capped at ``len(self) * len(other)``."""
+        self._require_same(other)
+        _check_cap(len(self) * len(other), cap)
+        rs = [encode(q) for q in other._terms]
+        out: dict = {}
+        for p, cp in self._terms.items():
+            for r, cq in zip(compose_row(encode(p), rs), other._terms.values()):
+                out[r] = out.get(r, 0) + cp * cq
+        return type(self)(*self._space, {decode(r): c for r, c in out.items()})
+
     def as_json(self) -> dict:
         terms = [{"deck": p.as_json(), "coeff": str(c)} for p, c in self.sorted_terms()]
         return {**self._json_header(), "terms": terms}
@@ -172,19 +183,26 @@ class AlgebraElement(_Element):
         return f"AlgebraElement(n={self.n}, terms={len(self._terms)}, mass={self.mass})"
 
 
-def _top_to_random_decks(a: int, n: int) -> Iterator[tuple[int, ...]]:
+def _top_to_random_decks(a: int, n: int) -> list[tuple[int, ...]]:
     """Raw decks of ``top_to_random(a, n)``, ordered lexicographically by the
-    positions chosen for cards ``1..a``."""
-    for targets in itertools.permutations(range(1, n + 1), a):
-        yield _deck_from_targets(targets, n)
+    positions chosen for cards ``1..a``: card 1 goes to each position in
+    turn, and cards ``2..a`` follow the order of the ``(a-1, n-1)`` list."""
+    if a == 0:
+        return [tuple(range(1, n + 1))]
+    rest = [tuple([c + 1 for c in d]) for d in _top_to_random_decks(a - 1, n - 1)]
+    return [d[:i] + (1,) + d[i:] for i in range(n) for d in rest]
+
+
+def _check_cap(required: int, cap: int) -> None:
+    """Refuse up front, never truncate, when ``required`` exceeds ``cap``."""
+    if required > cap:
+        raise CapExceeded(required, cap)
 
 
 def _check_term_count(n: int, sizes, cap: int, order: int = 1) -> None:
     """Refuse up front to materialize the ``P(n, j) * order**j`` terms of
     every shuffle sum of size ``j`` in ``sizes`` when they exceed ``cap``."""
-    required = sum(math.perm(n, j) * order**j for j in sizes)
-    if required > cap:
-        raise CapExceeded(required, cap)
+    _check_cap(sum(math.perm(n, j) * order**j for j in sizes), cap)
 
 
 def top_to_random(a: int, n: int) -> AlgebraElement:
@@ -196,74 +214,74 @@ def top_to_random(a: int, n: int) -> AlgebraElement:
     return AlgebraElement(n, {Permutation(d): 1 for d in _top_to_random_decks(a, n)})
 
 
-def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+def multiply(
+    x: AlgebraElement, y: AlgebraElement, cap: int = DEFAULT_TUPLE_CAP
+) -> AlgebraElement:
     """Convolution product: coefficient of ``r`` is the sum of
-    ``x[p] * y[q]`` over all ``p, q`` with ``compose(p, q) == r``."""
-    x._require_same(y)
-    out: dict[tuple[int, ...], int] = {}
-    for p, cp in x.terms.items():
-        for q, cq in y.terms.items():
-            d = _compose_decks(p.deck, q.deck)
-            out[d] = out.get(d, 0) + cp * cq
-    return AlgebraElement(x.n, {Permutation(d): c for d, c in out.items()})
+    ``x[p] * y[q]`` over all ``p, q`` with ``compose(p, q) == r``.  Refuses
+    up front when the ``len(x) * len(y)`` compositions exceed ``cap``."""
+
+    def row(p, qs):
+        return [_compose_decks(p, q) for q in qs]
+
+    return x._convolve(y, cap, attrgetter("deck"), row, Permutation)
 
 
 def predicted_tuple_count(spec: ShuffleSpec) -> int:
-    """Number of term tuples a brute-force walk of the product visits, which
+    """Number of term tuples a brute-force walk of the product counts, which
     is also the number of equally likely outcome tuples: prod of P(n, a_i)."""
     return math.prod(math.perm(spec.n, ai) for ai in spec.a)
 
 
-def _walk_tuples(start, factors: list[list], compose_row) -> Counter:
+def _walk_tuples(start, factors: list, compose_row) -> Counter:
     """Tally the left-to-right composite of every tuple of factor terms.
 
-    ``compose_row(cur, factor)`` lists ``cur`` composed with each term of
-    ``factor``.  Shared prefixes are composed once; the last factor's row is
-    cached per state up to ``_ROW_CACHE_LIMIT`` states, one object per state.
-    """
-    last = factors[-1]
-    k = len(factors)
-    tally: Counter = Counter()
-    row_cache: dict = {}
-    seen: dict = {}
-    cache_budget = _ROW_CACHE_LIMIT // max(1, len(last))
-
-    def walk(depth: int, cur) -> None:
-        if depth == k - 1:
-            row = row_cache.get(cur)
-            if row is None:
-                row = compose_row(cur, last)
-                if len(row_cache) < cache_budget:
-                    row = [seen.setdefault(s, s) for s in row]
-                    row_cache[cur] = row
-            tally.update(row)
-            return
-        for nxt in compose_row(cur, factors[depth]):
-            walk(depth + 1, nxt)
-
-    walk(0, start)
+    ``tally`` maps each distinct state reached by the tuple prefixes so far
+    to their number; ``compose_row(state, factor)`` lists ``state`` composed
+    with each term of ``factor``, once per state."""
+    tally = Counter({start: 1})
+    for factor in factors:
+        nxt: Counter = Counter()
+        get = nxt.get
+        for state, count in tally.items():
+            row = compose_row(state, factor)
+            if count == 1:
+                nxt.update(row)
+            else:
+                for s in row:
+                    nxt[s] = get(s, 0) + count
+        tally = nxt
     return tally
 
 
-def _compose_row(cur: tuple[int, ...], factor: list) -> list[tuple[int, ...]]:
-    return [tuple([cur[c - 1] for c in d]) for d in factor]
+def _getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """``itemgetter(*indices)``, which returns a tuple even for one index."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
 
 
 def brute_force_product(
     spec: ShuffleSpec, cap: int = DEFAULT_TUPLE_CAP
 ) -> AlgebraElement:
-    """Exact product of the spec's shuffle sums by exhaustive tuple walk.
+    """Exact product of the spec's shuffle sums by exhaustive tuple count.
 
-    Visits every tuple of factor terms once, composing left to right along
-    shared prefixes.  Refuses up front (never truncates) when the tuple
-    count exceeds ``cap``.
+    Counts every tuple of factor terms once, through the fold over distinct
+    decks in ``_walk_tuples``.  Refuses up front (never truncates) when the
+    tuple count exceeds ``cap``.
     """
-    required = predicted_tuple_count(spec)
-    if required > cap:
-        raise CapExceeded(required, cap)
+    _check_cap(predicted_tuple_count(spec), cap)
     n = spec.n
-    factors = [list(_top_to_random_decks(ai, n)) for ai in spec.a]
-    tally = _walk_tuples(tuple(range(1, n + 1)), factors, _compose_row)
+    # Each term as the getter of its deck: ``g(cur)`` composes ``cur`` with it.
+    getters = {
+        ai: [_getter([c - 1 for c in d]) for d in _top_to_random_decks(ai, n)]
+        for ai in set(spec.a)
+    }
+    factors = [getters[ai] for ai in spec.a]
+    tally = _walk_tuples(
+        tuple(range(1, n + 1)), factors, lambda cur, gs: [g(cur) for g in gs]
+    )
     return AlgebraElement(n, {Permutation(d): c for d, c in tally.items()})
 
 

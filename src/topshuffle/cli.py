@@ -18,7 +18,7 @@ from typing import Sequence
 from . import algebra, coefficients, probability, wreath
 from .coefficients import SegmentedPartition, ShuffleSpec
 from .errors import CapExceeded
-from .permutations import Permutation
+from .permutations import Permutation, _json_list
 from .wreath import FiniteGroup, GPermutation
 
 ENV_CAP = "TOPSHUFFLE_BRUTE_CAP"
@@ -235,7 +235,7 @@ def _cmd_partitions(args) -> int:
 
 def _cmd_phi(args) -> int:
     spec = ShuffleSpec(args.n, _parse_sizes(args.a))
-    decks = json.loads(args.decks)
+    decks = _json_list(json.loads(args.decks))
     sigmas = tuple(Permutation.from_json(d) for d in decks)
     alpha = coefficients.phi(sigmas, spec)
     if args.format == "text":

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .permutations import Permutation, _integer, min_shuffle_size
+from .permutations import Permutation, _integer, _json_list, min_shuffle_size
 
 # A shuffle sequence: one permutation per round.
 ShuffleTuple = tuple[Permutation, ...]
@@ -248,7 +248,10 @@ class SegmentedPartition:
 
     @classmethod
     def from_json(cls, data: Iterable[Iterable[int]]) -> "SegmentedPartition":
-        return cls(tuple(frozenset(part) for part in data))
+        parts = [[_integer(e) for e in _json_list(part)] for part in _json_list(data)]
+        if any(len(set(part)) != len(part) for part in parts):
+            raise ValueError("an element is repeated inside a block")
+        return cls(tuple(map(frozenset, parts)))
 
 
 def respects_rounds(alpha: SegmentedPartition, spec: ShuffleSpec) -> bool:

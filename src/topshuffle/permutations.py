@@ -35,9 +35,9 @@ class Permutation:
 
     def __post_init__(self) -> None:
         deck = self.deck
-        if type(deck) is not tuple or any(type(c) is not int for c in deck):
+        if type(deck) is not tuple or {*map(type, deck)} != {int}:
             deck = tuple(_integer(c) for c in deck)
-        object.__setattr__(self, "deck", deck)
+            object.__setattr__(self, "deck", deck)
         n = len(deck)
         if n == 0:
             raise ValueError("empty deck")
@@ -68,7 +68,7 @@ class Permutation:
 
     @classmethod
     def from_json(cls, data: Sequence[int]) -> "Permutation":
-        return cls(tuple(data))
+        return cls(tuple(_json_list(data)))
 
 
 def identity(n: int) -> Permutation:
@@ -195,6 +195,13 @@ def _integer(x) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise ValueError(f"{x!r} is not an integer")
     return int(x)
+
+
+def _json_list(data):
+    """``data`` if it has the shape of a JSON list; anything else raises."""
+    if not isinstance(data, (list, tuple)):
+        raise ValueError(f"expected a JSON list, got {data!r}")
+    return data
 
 
 # Raw-tuple helpers shared with the sibling modules.  They skip dataclass

@@ -14,8 +14,8 @@ identity, so arbitrary finite groups (including nonabelian ones) work.
 ``GAlgebraElement`` keeps only what is faced about it; its body is
 ``algebra._Element``, shared with the plain ``AlgebraElement``.  The
 oracles ``g_brute_force_product`` and ``factorization_counts_by_enumeration``
-run the one tuple walker, ``algebra._walk_tuples``, which shares no code
-with ``expansion``, ``expansion_element`` or ``g_expansion*``.
+count tuples in the one fold ``algebra._walk_tuples``, which shares no
+code with ``expansion``, ``expansion_element`` or ``g_expansion*``.
 """
 
 from __future__ import annotations
@@ -23,24 +23,28 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
+from operator import getitem
 from typing import Iterator, Mapping, Sequence
 
 from .algebra import (
     DEFAULT_TUPLE_CAP,
     AlgebraElement,
     _Element,
+    _check_cap,
     _check_term_count,
+    _getter,
+    _top_to_random_decks,
     _walk_tuples,
     expansion,
     predicted_tuple_count,
 )
 from .coefficients import ShuffleSpec
-from .errors import CapExceeded
 from .permutations import (
     Permutation,
-    _deck_from_targets,
     _integer,
     _inverse_deck,
+    _json_list,
     _min_shuffle_raw,
 )
 
@@ -136,7 +140,9 @@ class FiniteGroup:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteGroup":
-        group = cls(data["cayley"])
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, got {data!r}")
+        group = cls([_json_list(row) for row in _json_list(data["cayley"])])
         if "order" in data and _integer(data["order"]) != group.order:
             raise ValueError("declared order does not match table size")
         return group
@@ -204,6 +210,8 @@ class GPermutation:
 
     @classmethod
     def from_json(cls, data: Sequence[dict]) -> "GPermutation":
+        if not all(isinstance(b, dict) for b in _json_list(data)):
+            raise ValueError('a faced deck lists {"face": f, "card": c} objects')
         return cls(tuple((b["face"], b["card"]) for b in data))
 
 
@@ -227,16 +235,16 @@ def _to_raw(gp: GPermutation) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _from_raw(raw: tuple[tuple[int, ...], tuple[int, ...]]) -> GPermutation:
     pos, face = raw
-    deck: list[tuple[int, int]] = [(0, 0)] * len(pos)
-    for c0, p in enumerate(pos):
-        deck[p - 1] = (face[c0], c0 + 1)
-    return GPermutation(tuple(deck))
+    return GPermutation(tuple([(face[c - 1], c) for c in _inverse_deck(pos)]))
 
 
-def _g_compose_raw(s, t, cayley):
-    (spos, sface), (tpos, tface) = s, t
-    pos = tuple([tpos[p - 1] for p in spos])
-    return pos, tuple([cayley[f][tface[p - 1]] for f, p in zip(sface, spos)])
+def _g_compose_row(s, terms, cayley) -> list:
+    """``s`` composed with each raw term: one getter built from ``s``'s
+    positions reads every term's positions and faces."""
+    spos, sface = s
+    g = _getter([p - 1 for p in spos])
+    rows = [cayley[f] for f in sface]
+    return [(g(tpos), tuple(map(getitem, rows, g(tface)))) for tpos, tface in terms]
 
 
 def g_compose(s: GPermutation, t: GPermutation, group: FiniteGroup) -> GPermutation:
@@ -247,7 +255,7 @@ def g_compose(s: GPermutation, t: GPermutation, group: FiniteGroup) -> GPermutat
         raise ValueError(f"deck sizes differ: {s.n} != {t.n}")
     _check_faces(s, group)
     _check_faces(t, group)
-    return _from_raw(_g_compose_raw(_to_raw(s), _to_raw(t), group.cayley))
+    return _from_raw(_g_compose_row(_to_raw(s), [_to_raw(t)], group.cayley)[0])
 
 
 class GAlgebraElement(_Element):
@@ -284,11 +292,11 @@ class GAlgebraElement(_Element):
 def _hat_decks_raw(a: int, n: int, order: int) -> Iterator[tuple]:
     """Raw terms of ``hat_top_to_random``: positions lexicographic, then
     faces lexicographic."""
-    identity_faces = (0,) * (n - a)
-    for targets in itertools.permutations(range(1, n + 1), a):
-        pos = _inverse_deck(_deck_from_targets(targets, n))
-        for faces in itertools.product(range(order), repeat=a):
-            yield pos, faces + identity_faces
+    spins = [f + (0,) * (n - a) for f in itertools.product(range(order), repeat=a)]
+    for deck in _top_to_random_decks(a, n):
+        pos = _inverse_deck(deck)
+        for faces in spins:
+            yield pos, faces
 
 
 def hat_top_to_random(a: int, n: int, group: FiniteGroup) -> GAlgebraElement:
@@ -304,18 +312,13 @@ def hat_top_to_random(a: int, n: int, group: FiniteGroup) -> GAlgebraElement:
     )
 
 
-def g_multiply(x: GAlgebraElement, y: GAlgebraElement) -> GAlgebraElement:
-    """Convolution product in the faced-deck algebra."""
-    x._require_same(y)
-    cayley = x.group.cayley
-    xs = [(_to_raw(gp), c) for gp, c in x.terms.items()]
-    ys = [(_to_raw(gp), c) for gp, c in y.terms.items()]
-    out: dict[tuple, int] = {}
-    for rp, cp in xs:
-        for rq, cq in ys:
-            r = _g_compose_raw(rp, rq, cayley)
-            out[r] = out.get(r, 0) + cp * cq
-    return GAlgebraElement(x.n, x.group, {_from_raw(r): c for r, c in out.items()})
+def g_multiply(
+    x: GAlgebraElement, y: GAlgebraElement, cap: int = DEFAULT_TUPLE_CAP
+) -> GAlgebraElement:
+    """Convolution product in the faced-deck algebra.  Refuses up front when
+    the ``len(x) * len(y)`` compositions exceed ``cap``."""
+    row = partial(_g_compose_row, cayley=x.group.cayley)
+    return x._convolve(y, cap, _to_raw, row, _from_raw)
 
 
 def factorization_count(l: int, g: int, group: FiniteGroup) -> int:
@@ -335,9 +338,7 @@ def factorization_counts_by_enumeration(
     the independent check of ``factorization_count``."""
     if l < 1:
         raise ValueError("tuple length must be at least 1")
-    required = group.order**l
-    if required > cap:
-        raise CapExceeded(required, cap)
+    _check_cap(group.order**l, cap)
     cayley = group.cayley
     tally = _walk_tuples(
         0, [range(group.order)] * l, lambda acc, f: [cayley[acc][x] for x in f]
@@ -354,19 +355,15 @@ def predicted_g_tuple_count(spec: ShuffleSpec, group: FiniteGroup) -> int:
 def g_brute_force_product(
     spec: ShuffleSpec, group: FiniteGroup, cap: int = DEFAULT_TUPLE_CAP
 ) -> GAlgebraElement:
-    """Exact product of the spec's faced shuffle sums by exhaustive walk of
-    all term tuples, composing left to right along shared prefixes."""
-    required = predicted_g_tuple_count(spec, group)
-    if required > cap:
-        raise CapExceeded(required, cap)
+    """Exact product of the spec's faced shuffle sums by exhaustive count of
+    all term tuples, through the fold over distinct states in
+    ``_walk_tuples``."""
+    _check_cap(predicted_g_tuple_count(spec, group), cap)
     n = spec.n
-    cayley = group.cayley
-    factors = [list(_hat_decks_raw(ai, n, group.order)) for ai in spec.a]
-    tally = _walk_tuples(
-        (tuple(range(1, n + 1)), (0,) * n),
-        factors,
-        lambda cur, factor: [_g_compose_raw(cur, t, cayley) for t in factor],
-    )
+    terms = {ai: list(_hat_decks_raw(ai, n, group.order)) for ai in set(spec.a)}
+    start = (tuple(range(1, n + 1)), (0,) * n)
+    row = partial(_g_compose_row, cayley=group.cayley)
+    tally = _walk_tuples(start, [terms[ai] for ai in spec.a], row)
     return GAlgebraElement(n, group, {_from_raw(r): c for r, c in tally.items()})
 
 
@@ -416,13 +413,17 @@ def _hat_floor(target: GPermutation, group: FiniteGroup) -> int:
     )
 
 
-def bar_element(p: Permutation, group: FiniteGroup) -> GAlgebraElement:
+def bar_element(
+    p: Permutation, group: FiniteGroup, cap: int = DEFAULT_TUPLE_CAP
+) -> GAlgebraElement:
     """Sum of all ``order**n`` ways to put a face on every card of ``p``."""
-    return bar_lift(AlgebraElement(p.n, {p: 1}), group)
+    return bar_lift(AlgebraElement(p.n, {p: 1}), group, cap)
 
 
-def bar_lift(x, group: FiniteGroup) -> GAlgebraElement:
-    """Face-spin every term of a plain element, keeping its coefficients."""
+def bar_lift(x, group: FiniteGroup, cap: int = DEFAULT_TUPLE_CAP) -> GAlgebraElement:
+    """Face-spin every term of a plain element, keeping its coefficients.
+    Refuses up front when the ``len(x) * order**n`` terms exceed ``cap``."""
+    _check_cap(len(x) * group.order**x.n, cap)
     terms: dict[GPermutation, int] = {}
     for p, c in x.terms.items():
         for faces in itertools.product(range(group.order), repeat=p.n):

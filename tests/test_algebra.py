@@ -190,6 +190,18 @@ def test_materializations_refuse_above_the_cap_up_front():
     assert len(expansion_element(ShuffleSpec(4, (2, 1)), cap=36)) == 24
 
 
+def test_multiply_refuses_above_the_cap_up_front():
+    x, y = top_to_random(2, 4), top_to_random(3, 4)
+    with pytest.raises(CapExceeded) as err:
+        multiply(x, y, cap=12 * 24 - 1)
+    assert err.value.required == 12 * 24
+    assert multiply(x, y, cap=12 * 24) == x * y
+    with pytest.raises(CapExceeded) as err:
+        multiply(top_to_random(7, 7), top_to_random(7, 7))
+    assert err.value.required == 5040**2
+    assert err.value.cap == algebra.DEFAULT_TUPLE_CAP
+
+
 # expansion ----------------------------------------------------------------------
 
 def test_expansion_three_singles():
@@ -275,9 +287,8 @@ def test_element_from_json_rejects_duplicate_decks():
         AlgebraElement.from_json(data)
 
 
-def test_walk_without_row_cache_matches_expansion(monkeypatch):
-    # A zero limit leaves the last-row cache empty, so every row is recomposed.
-    monkeypatch.setattr(algebra, "_ROW_CACHE_LIMIT", 0)
+def test_walk_without_row_cache_matches_expansion():
+    # The fold keeps no row cache: every distinct state is composed afresh.
     spec = ShuffleSpec(4, (1, 2, 2))
     assert brute_force_product(spec) == expansion_element(spec)
     z2 = FiniteGroup.cyclic(2)

@@ -1,8 +1,12 @@
 """Command-line interface: outputs, round-trips, and exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topshuffle import (
     AlgebraElement,
@@ -224,3 +228,120 @@ def test_mismatch_exit_code_3(capsys, monkeypatch):
 
 def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prob", "--n", "3", "--a", "1", "--target", "5"],
+        ["prob", "--n", "2", "--a", "1", "--group", "cyclic:2", "--target", "[1,2]"],
+        ["phi", "--n", "3", "--a", "1,1", "--decks", "5"],
+        ["phi-inverse", "--n", "3", "--a", "1,1", "--alpha", "5", "--target", "[1,2,3]"],
+        ["phi-inverse", "--n", "3", "--a", "1,1", "--alpha", "[5]", "--target", "[1,2,3]"],
+        ["phi-inverse", "--n", "3", "--a", "1,1", "--alpha", "[[[1]],[2]]", "--target", "[2,1,3]"],
+        ["prob", "--n", "2", "--a", "1", "--target", '{"1": 2}'],
+    ],
+)
+def test_malformed_json_shapes_exit_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("topshuffle: error:")
+
+
+@pytest.mark.parametrize(
+    "table", [5, [], {"cayley": 5}, {"cayley": [1, 2]}, {"cayley": "ab"}]
+)
+def test_malformed_table_file_exits_1(tmp_path, capsys, table):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(table))
+    code, _, err = run_cli(
+        capsys, "expand", "--n", "2", "--a", "1", "--group", f"table:{path}"
+    )
+    assert code == 1
+    assert err.startswith("topshuffle: error:")
+
+
+def test_repeated_element_in_a_block_exits_1(capsys):
+    with pytest.raises(ValueError, match="repeated"):
+        SegmentedPartition.from_json([[1, 1], [2]])
+    with pytest.raises(ValueError, match="repeated"):
+        SegmentedPartition.from_json([[1, 1.0], [2]])
+    code, out, _ = run_cli(
+        capsys, "phi-inverse", "--n", "3", "--a", "1,1",
+        "--alpha", "[[1,1],[2]]", "--target", "[2,1,3]",
+    )
+    assert (code, out) == (1, "")
+
+
+# Fuzzed arguments: every subcommand answers 0, 1 or 2 and never raises ----------
+
+JSON_TEXT = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["face", "card", "x"]), inner, max_size=3),
+    max_leaves=10,
+).map(json.dumps) | st.text(max_size=8)
+NUMBER = st.integers(-2, 5).map(str) | st.sampled_from(["x", "", "1.5", "7"])
+SIZES = st.lists(st.integers(-1, 3), max_size=3).map(
+    lambda xs: ",".join(map(str, xs))
+) | st.sampled_from(["", "x", "1,,2", "2.0"])
+FORMAT = st.sampled_from([[], ["--format", "text"], ["--format", "json"], ["--format", "x"]])
+
+
+@pytest.fixture(scope="module")
+def group_specs(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("groups")
+    specs = ["cyclic:1", "cyclic:2", "cyclic:3", "cyclic:0", "cyclic:x", "dihedral:3"]
+    tables = {
+        "s3": FiniteGroup.symmetric_3().as_json(),
+        "bad": {"order": 2, "cayley": [[1, 0], [0, 1]]},
+        "shape": {"cayley": [1, [0]]},
+        "scalar": 7,
+    }
+    for name, table in tables.items():
+        (folder / f"{name}.json").write_text(json.dumps(table))
+        specs.append(f"table:{folder / name}.json")
+    return specs + [f"table:{folder / 'missing.json'}"]
+
+
+@st.composite
+def fuzzed_argv(draw, group_specs):
+    """Arguments for any subcommand, well-formed or not.  Deck sizes stay at
+    most 5 and ``brute``/``verify`` always get a cap of at most 3000 tuples,
+    so every call returns quickly."""
+    command = draw(st.sampled_from(
+        ["expand", "brute", "verify", "coeff", "partitions", "phi",
+         "phi-inverse", "prob", "stirling", "bell", "nonsense"]
+    ))
+    if command == "stirling":
+        return [command, "--k", str(draw(st.integers(-2, 60))),
+                "--j", str(draw(st.integers(-2, 60)))] + draw(FORMAT)
+    if command == "bell":
+        return [command, "--k", str(draw(st.integers(-2, 60)))] + draw(FORMAT)
+    argv = [command, "--n", draw(NUMBER), "--a", draw(SIZES)] + draw(FORMAT)
+    if command in ("expand", "brute", "verify", "prob") and draw(st.booleans()):
+        argv += ["--group", draw(st.sampled_from(group_specs))]
+    if command in ("brute", "verify"):
+        argv += ["--cap", str(draw(st.integers(-1, 3000)))]
+    elif command in ("coeff", "partitions"):
+        argv += ["--j", draw(NUMBER)]
+    elif command == "phi":
+        decks = st.lists(st.permutations(range(1, 4)), max_size=3).map(json.dumps)
+        argv += ["--decks", draw(decks | JSON_TEXT)]
+    elif command == "phi-inverse":
+        argv += ["--alpha", draw(JSON_TEXT), "--target", draw(JSON_TEXT)]
+    elif command == "prob":
+        argv += ["--target", draw(st.permutations(range(1, 4)).map(json.dumps) | JSON_TEXT)]
+        if draw(st.booleans()):
+            argv += ["--digits", str(draw(st.integers(-2, 20)))]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_fuzzed_arguments_exit_0_1_or_2(group_specs, data):
+    argv = data.draw(fuzzed_argv(group_specs))
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = run(argv)
+    assert code in (0, 1, 2), (argv, sink.getvalue())

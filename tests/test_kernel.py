@@ -1,9 +1,12 @@
 """The round-by-round count row, checked against an anchor-tuple sum and
-against identities that hold far beyond brute-force reach."""
+against identities that hold far beyond brute-force reach, and the
+oracle's fold, checked against a tuple-by-tuple count."""
 
+import functools
 import itertools
 import math
 import types
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -16,16 +19,26 @@ from topshuffle import (
     ShuffleSpec,
     algebra,
     anchor_tuples,
+    brute_force_product,
+    compose,
     expansion,
+    factorization_counts_by_enumeration,
+    g_brute_force_product,
+    g_compose,
     g_ways_to_reach,
+    hat_top_to_random,
     is_hat_term,
     min_shuffle_size,
     q_cardinality,
+    top_to_random,
     total_outcomes,
     ways_to_reach,
     wreath,
 )
 from topshuffle.coefficients import _q_count, _q_row, _stirling_row
+from topshuffle.permutations import _deck_from_targets
+
+S3 = FiniteGroup.symmetric_3()
 
 DECK = 52
 
@@ -170,3 +183,71 @@ def test_oracle_never_reaches_the_closed_form(oracle):
 def test_oracle_guard_sees_the_closed_form_where_it_is_used():
     assert "expansion" in reachable_names(algebra.expansion_element)
     assert "_q_row" in reachable_names(wreath.g_expansion_element)
+
+
+# The oracle's deck list and its fold over distinct states ---------------------
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_top_to_random_decks_follow_the_target_order(n):
+    for a in range(n + 1):
+        assert algebra._top_to_random_decks(a, n) == [
+            _deck_from_targets(t, n)
+            for t in itertools.permutations(range(1, n + 1), a)
+        ]
+
+
+def tuple_tally(factors, compose):
+    """The product term tuple by term tuple: one left-to-right fold each."""
+    return Counter(
+        functools.reduce(compose, terms) for terms in itertools.product(*factors)
+    )
+
+
+PLAIN_SPECS = [(1, (1,)), (1, (1, 1, 1)), (3, (2,)), (4, (4,)), (3, (1, 2, 2)),
+               (4, (2, 1, 3)), (4, (1, 1, 1, 1)), (5, (2, 3))]
+
+
+@pytest.mark.parametrize("n, a", PLAIN_SPECS)
+def test_plain_fold_equals_the_tuple_tally(n, a):
+    spec = ShuffleSpec(n, a)
+    factors = [list(top_to_random(ai, n).terms) for ai in a]
+    tally = brute_force_product(spec).terms
+    assert tally == tuple_tally(factors, compose)
+    assert sum(tally.values()) == algebra.predicted_tuple_count(spec)
+
+
+def faced_compose(s, t, group):
+    """``g_compose`` from its definition on decks: position ``j`` of the
+    product holds the card ``s`` had at the position ``t`` puts at ``j``,
+    its face times the face ``t`` gives there."""
+    return GPermutation(
+        tuple((group.mul(s.deck[c - 1][0], g), s.deck[c - 1][1]) for g, c in t.deck)
+    )
+
+
+def test_faced_compose_reference_agrees_with_g_compose():
+    for s, t in itertools.product(hat_top_to_random(2, 3, S3).terms, repeat=2):
+        assert faced_compose(s, t, S3) == g_compose(s, t, S3)
+
+
+FACED_SPECS = [(1, (1,), 3), (1, (1, 1), 2), (2, (2,), 6), (3, (1, 2), 2),
+               (2, (1, 2, 1), 3), (3, (2, 1), 6), (2, (2, 2), 6)]
+
+
+@pytest.mark.parametrize("n, a, order", FACED_SPECS)
+def test_faced_fold_equals_the_tuple_tally(n, a, order):
+    group = S3 if order == 6 else FiniteGroup.cyclic(order)
+    spec = ShuffleSpec(n, a)
+    factors = [list(hat_top_to_random(ai, n, group).terms) for ai in a]
+    tally = g_brute_force_product(spec, group).terms
+    assert tally == tuple_tally(factors, lambda s, t: faced_compose(s, t, group))
+    assert sum(tally.values()) == wreath.predicted_g_tuple_count(spec, group)
+
+
+@pytest.mark.parametrize("l", [1, 2, 4])
+def test_factorization_fold_equals_the_tuple_tally(l):
+    tally = tuple_tally([range(S3.order)] * l, S3.mul)
+    assert factorization_counts_by_enumeration(l, S3) == tuple(
+        tally[g] for g in range(S3.order)
+    )

@@ -205,6 +205,33 @@ def test_faced_materializations_refuse_above_the_cap_up_front():
     assert len(g_expansion_element(ShuffleSpec(2, (1, 1)), Z2, cap=12)) == 8
 
 
+def test_bar_element_refuses_above_the_cap_up_front():
+    p = Permutation((2, 1, 3))
+    with pytest.raises(CapExceeded) as err:
+        bar_element(p, S3, cap=6**3 - 1)
+    assert err.value.required == 6**3
+    assert len(bar_element(p, S3, cap=6**3)) == 6**3
+    with pytest.raises(CapExceeded) as err:
+        bar_element(Permutation(tuple(range(1, 25))), Z2)
+    assert err.value.required == 2**24
+
+
+def test_bar_lift_refuses_above_the_cap_up_front():
+    x = top_to_random(2, 3)
+    with pytest.raises(CapExceeded) as err:
+        bar_lift(x, Z3, cap=6 * 27 - 1)
+    assert err.value.required == 6 * 27
+    assert len(bar_lift(x, Z3, cap=6 * 27)) == 6 * 27
+
+
+def test_g_multiply_refuses_above_the_cap_up_front():
+    x, y = hat_top_to_random(1, 3, Z2), hat_top_to_random(2, 3, Z2)
+    with pytest.raises(CapExceeded) as err:
+        g_multiply(x, y, cap=6 * 24 - 1)
+    assert err.value.required == 6 * 24
+    assert g_multiply(x, y, cap=6 * 24) == g_multiply(x, y)
+
+
 # g_expansion and the oracle ---------------------------------------------------------
 
 def test_g_expansion_trivial_group_matches_plain():
