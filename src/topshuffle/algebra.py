@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Sequence
 
 from .coefficients import ShuffleSpec, _q_row
 from .errors import CapExceeded
-from .permutations import Permutation, _compose_decks, _integer
+from .permutations import Permutation, _compose_decks, _integer, _json_list
 
 # Ordered letters, pairwise distinct; the operand type of shuffle_product.
 Word = tuple[int, ...]
@@ -149,13 +149,18 @@ class _Element:
 
     @classmethod
     def from_json(cls, data: dict):
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, got {data!r}")
         space = cls._space_from_json(data)
         terms = {}
-        for t in data["terms"]:
+        for t in _json_list(data["terms"]):
+            if not isinstance(t, dict):
+                raise ValueError(f"expected a term object, got {t!r}")
             p = cls._DECK.from_json(t["deck"])
             if p in terms:
                 raise ValueError(f"deck {p.as_json()} listed twice")
-            terms[p] = int(t["coeff"])
+            c = t["coeff"]
+            terms[p] = int(c) if isinstance(c, str) else _integer(c)
         return cls(*space, terms)
 
 

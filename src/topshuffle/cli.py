@@ -1,9 +1,9 @@
 """Command-line front end with machine-readable output.
 
-Every subcommand prints JSON by default (``--format text`` for aligned
-text); big numbers are rendered as decimal strings.  Exit codes: 0 success,
-1 invalid arguments or inputs, 2 enumeration cap exceeded, 3 verification
-mismatch.  ``TOPSHUFFLE_BRUTE_CAP`` sets the default enumeration cap.
+Every subcommand prints JSON by default (``--format text`` for tab- and
+line-separated text); big numbers are rendered as decimal strings.  Exit
+codes: 0 success, 1 invalid arguments or inputs, 2 enumeration cap exceeded,
+3 verification mismatch.  ``TOPSHUFFLE_BRUTE_CAP`` sets the default enumeration cap.
 """
 
 from __future__ import annotations
@@ -33,30 +33,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_sizes(text: str) -> tuple[int, ...]:
+def _spec(args) -> ShuffleSpec:
     try:
-        return tuple(int(x) for x in text.split(","))
+        sizes = tuple(int(x) for x in args.a.split(","))
     except ValueError:
-        raise ValueError(f"cannot parse shuffle sizes {text!r}")
+        raise ValueError(f"cannot parse shuffle sizes {args.a!r}")
+    return ShuffleSpec(args.n, sizes)
 
 
-def _parse_group(text: str) -> FiniteGroup:
-    kind, _, arg = text.partition(":")
+def _group(args) -> FiniteGroup | None:
+    if not args.group:
+        return None
+    kind, _, arg = args.group.partition(":")
     if kind == "cyclic":
         return FiniteGroup.cyclic(int(arg))
     if kind == "table":
         with open(arg, "r", encoding="utf-8") as handle:
             return FiniteGroup.from_json(json.load(handle))
-    raise ValueError(f"unknown group spec {text!r}; use cyclic:M or table:FILE")
+    raise ValueError(f"unknown group spec {args.group!r}; use cyclic:M or table:FILE")
 
 
-def _default_cap() -> int:
+def _cap(args) -> int:
+    if args.cap is not None:
+        return args.cap
     raw = os.environ.get(ENV_CAP)
     return int(raw) if raw else algebra.DEFAULT_TUPLE_CAP
 
 
-def _print_json(data) -> None:
-    print(json.dumps(data))
+def _blocks_text(alpha: SegmentedPartition) -> str:
+    return " | ".join(",".join(str(e) for e in sorted(p)) for p in alpha.parts)
 
 
 def _add_spec_args(sub: argparse.ArgumentParser, group: bool = True) -> None:
@@ -143,162 +148,116 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_expand(args) -> int:
-    spec = ShuffleSpec(args.n, _parse_sizes(args.a))
-    if args.group:
-        result = wreath.g_expansion(spec, _parse_group(args.group))
-    else:
+# Each command yields (exit code, JSON value, text) records, and ``run`` prints
+# each in the chosen format; ``partitions`` yields one record per partition.
+
+
+def _cmd_expand(args):
+    spec, group = _spec(args), _group(args)
+    if group is None:
         result = algebra.expansion(spec)
-    if args.format == "text":
-        for j, c in result.items():
-            print(f"{j}\t{c}")
     else:
-        _print_json({str(j): str(c) for j, c in result.items()})
-    return 0
+        result = wreath.g_expansion(spec, group)
+    text = "\n".join(f"{j}\t{c}" for j, c in result.items())
+    yield 0, {str(j): str(c) for j, c in result.items()}, text
 
 
 def _element_for(spec: ShuffleSpec, group, cap: int, brute: bool):
     if group is None:
-        return (
-            algebra.brute_force_product(spec, cap)
-            if brute
-            else algebra.expansion_element(spec, cap)
-        )
-    return (
-        wreath.g_brute_force_product(spec, group, cap)
-        if brute
-        else wreath.g_expansion_element(spec, group, cap)
-    )
+        build = algebra.brute_force_product if brute else algebra.expansion_element
+        return build(spec, cap)
+    build = wreath.g_brute_force_product if brute else wreath.g_expansion_element
+    return build(spec, group, cap)
 
 
-def _cmd_brute(args) -> int:
-    spec = ShuffleSpec(args.n, _parse_sizes(args.a))
-    cap = args.cap if args.cap is not None else _default_cap()
-    group = _parse_group(args.group) if args.group else None
-    element = _element_for(spec, group, cap, brute=True)
-    if args.format == "text":
-        for term, c in element.sorted_terms():
-            print(f"{term.as_json()}\t{c}")
-    else:
-        _print_json(element.as_json())
-    return 0
+def _cmd_brute(args):
+    spec, cap, group = _spec(args), _cap(args), _group(args)
+    value = _element_for(spec, group, cap, brute=True).as_json()
+    yield 0, value, "\n".join(f"{t['deck']}\t{t['coeff']}" for t in value["terms"])
 
 
-def _cmd_verify(args) -> int:
-    spec = ShuffleSpec(args.n, _parse_sizes(args.a))
-    cap = args.cap if args.cap is not None else _default_cap()
-    group = _parse_group(args.group) if args.group else None
+def _cmd_verify(args):
+    spec, cap, group = _spec(args), _cap(args), _group(args)
     oracle = _element_for(spec, group, cap, brute=True)
     expanded = _element_for(spec, group, cap, brute=False)
     if oracle == expanded:
-        if args.format == "text":
-            print("match")
-        else:
-            _print_json({"match": True, "terms": len(oracle)})
-        return 0
+        yield 0, {"match": True, "terms": len(oracle)}, "match"
+        return
     terms = sorted(set(oracle.terms) | set(expanded.terms), key=oracle._sort_key)
     term = next(t for t in terms if expanded.coefficient(t) != oracle.coefficient(t))
     got, want = expanded.coefficient(term), oracle.coefficient(term)
-    if args.format == "text":
-        print(f"mismatch at {term.as_json()}: expansion {got}, brute {want}")
-    else:
-        _print_json(
-            {
-                "match": False,
-                "deck": term.as_json(),
-                "expansion": str(got),
-                "brute_force": str(want),
-            }
-        )
-    return 3
+    value = {
+        "match": False,
+        "deck": term.as_json(),
+        "expansion": str(got),
+        "brute_force": str(want),
+    }
+    yield 3, value, f"mismatch at {term.as_json()}: expansion {got}, brute {want}"
 
 
-def _cmd_coeff(args) -> int:
-    spec = ShuffleSpec(args.n, _parse_sizes(args.a))
-    value = coefficients.q_cardinality(spec, args.j)
-    if args.format == "text":
-        print(value)
-    else:
-        _print_json({"j": args.j, "coefficient": str(value)})
-    return 0
+def _cmd_coeff(args):
+    value = coefficients.q_cardinality(_spec(args), args.j)
+    yield 0, {"j": args.j, "coefficient": str(value)}, str(value)
 
 
-def _cmd_partitions(args) -> int:
-    spec = ShuffleSpec(args.n, _parse_sizes(args.a))
-    for alpha in coefficients.iter_segmented_partitions(spec, args.j):
-        if args.format == "text":
-            print(" | ".join(",".join(str(e) for e in sorted(p)) for p in alpha.parts))
-        else:
-            print(json.dumps(alpha.as_json()))
-    return 0
+def _cmd_partitions(args):
+    for alpha in coefficients.iter_segmented_partitions(_spec(args), args.j):
+        yield 0, alpha.as_json(), _blocks_text(alpha)
 
 
-def _cmd_phi(args) -> int:
-    spec = ShuffleSpec(args.n, _parse_sizes(args.a))
+def _cmd_phi(args):
+    spec = _spec(args)
     decks = _json_list(json.loads(args.decks))
     sigmas = tuple(Permutation.from_json(d) for d in decks)
     alpha = coefficients.phi(sigmas, spec)
-    if args.format == "text":
-        print(" | ".join(",".join(str(e) for e in sorted(p)) for p in alpha.parts))
-    else:
-        _print_json(alpha.as_json())
-    return 0
+    yield 0, alpha.as_json(), _blocks_text(alpha)
 
 
-def _cmd_phi_inverse(args) -> int:
-    spec = ShuffleSpec(args.n, _parse_sizes(args.a))
+def _cmd_phi_inverse(args):
+    spec = _spec(args)
     alpha = SegmentedPartition.from_json(json.loads(args.alpha))
     target = Permutation.from_json(json.loads(args.target))
     sigmas = coefficients.phi_inverse(alpha, target, spec)
-    if args.format == "text":
-        for s in sigmas:
-            print(",".join(str(c) for c in s.deck))
-    else:
-        _print_json([s.as_json() for s in sigmas])
-    return 0
+    text = "\n".join(",".join(str(c) for c in s.deck) for s in sigmas)
+    yield 0, [s.as_json() for s in sigmas], text
 
 
-def _cmd_prob(args) -> int:
-    spec = ShuffleSpec(args.n, _parse_sizes(args.a))
+def _cmd_prob(args):
+    spec = _spec(args)
     target_data = json.loads(args.target)
-    if args.group:
-        group = _parse_group(args.group)
-        target = GPermutation.from_json(target_data)
-        ways = probability.g_ways_to_reach(target, spec, group)
-        outcomes = probability.g_total_outcomes(spec, group)
-    else:
+    group = _group(args)
+    if group is None:
         target = Permutation.from_json(target_data)
         ways = probability.ways_to_reach(target, spec)
         outcomes = probability.total_outcomes(spec)
-    prob = Fraction(ways, outcomes)
-    if args.format == "text":
-        print(f"ways = {ways}")
-        print(f"outcomes = {outcomes}")
-        print(f"probability = {prob.numerator}/{prob.denominator}")
-        if args.digits is not None:
-            print(f"approx = {float(prob):.{args.digits}g}")
     else:
-        data = {
-            "ways": str(ways),
-            "outcomes": str(outcomes),
-            "probability": probability.rational_as_json(prob),
-        }
-        if args.digits is not None:
-            data["approx"] = f"{float(prob):.{args.digits}g}"
-        _print_json(data)
-    return 0
+        target = GPermutation.from_json(target_data)
+        ways = probability.g_ways_to_reach(target, spec, group)
+        outcomes = probability.g_total_outcomes(spec, group)
+    prob = Fraction(ways, outcomes)
+    value = {
+        "ways": str(ways),
+        "outcomes": str(outcomes),
+        "probability": probability.rational_as_json(prob),
+    }
+    text = (
+        f"ways = {ways}\noutcomes = {outcomes}\n"
+        f"probability = {prob.numerator}/{prob.denominator}"
+    )
+    if args.digits is not None:
+        value["approx"] = f"{float(prob):.{args.digits}g}"
+        text += f"\napprox = {value['approx']}"
+    yield 0, value, text
 
 
-def _cmd_stirling(args) -> int:
+def _cmd_stirling(args):
     value = coefficients.stirling2(args.k, args.j)
-    print(value if args.format == "text" else json.dumps({"value": str(value)}))
-    return 0
+    yield 0, {"value": str(value)}, str(value)
 
 
-def _cmd_bell(args) -> int:
+def _cmd_bell(args):
     value = coefficients.bell(args.k)
-    print(value if args.format == "text" else json.dumps({"value": str(value)}))
-    return 0
+    yield 0, {"value": str(value)}, str(value)
 
 
 _COMMANDS = {
@@ -322,12 +281,15 @@ def run(argv: Sequence[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    code = 0
     try:
-        return _COMMANDS[args.command](args)
+        for code, value, text in _COMMANDS[args.command](args):
+            print(text if args.format == "text" else json.dumps(value))
+        return code
     except CapExceeded as exc:
         print(f"topshuffle: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"topshuffle: error: {exc}", file=sys.stderr)
         return 1
 

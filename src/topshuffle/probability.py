@@ -26,12 +26,17 @@ total_outcomes = predicted_tuple_count
 g_total_outcomes = predicted_g_tuple_count
 
 
+def _tail_ways(spec: ShuffleSpec, n: int, floor: int, order: int = 1) -> int:
+    if n != spec.n:
+        raise ValueError(f"deck size {n} does not match spec size {spec.n}")
+    lo = max(spec.j_min, floor)
+    row = _q_row(spec.a, spec.j_max)[lo:]
+    return sum(q * order ** (spec.total - c) for c, q in enumerate(row, lo))
+
+
 def ways_to_reach(target: Permutation, spec: ShuffleSpec) -> int:
     """Number of outcome tuples of the shuffle sequence producing ``target``."""
-    if target.n != spec.n:
-        raise ValueError(f"deck size {target.n} does not match spec size {spec.n}")
-    lo = max(spec.j_min, min_shuffle_size(target))
-    return sum(_q_row(spec.a, spec.j_max)[lo:])
+    return _tail_ways(spec, target.n, min_shuffle_size(target))
 
 
 def probability_of(target: Permutation, spec: ShuffleSpec) -> Fraction:
@@ -49,13 +54,7 @@ def g_ways_to_reach(
     partition count times ``order**(sum(a)-c)``.  Targets showing a
     non-identity face on a never-touched card simply count 0.
     """
-    if target.n != spec.n:
-        raise ValueError(f"deck size {target.n} does not match spec size {spec.n}")
-    lo = max(spec.j_min, _hat_floor(target, group))
-    row = _q_row(spec.a, spec.j_max)
-    return sum(
-        row[c] * group.order ** (spec.total - c) for c in range(lo, spec.j_max + 1)
-    )
+    return _tail_ways(spec, target.n, _hat_floor(target, group), group.order)
 
 
 def g_probability_of(

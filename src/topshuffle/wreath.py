@@ -48,8 +48,6 @@ from .permutations import (
     _min_shuffle_raw,
 )
 
-DEFAULT_FACTORIZATION_CAP = 10**6
-
 
 class FiniteGroup:
     """A finite group given by its multiplication table.
@@ -332,7 +330,7 @@ def factorization_count(l: int, g: int, group: FiniteGroup) -> int:
 
 
 def factorization_counts_by_enumeration(
-    l: int, group: FiniteGroup, cap: int = DEFAULT_FACTORIZATION_CAP
+    l: int, group: FiniteGroup, cap: int = DEFAULT_TUPLE_CAP
 ) -> tuple[int, ...]:
     """Per-element tuple counts obtained by walking all ``order**l`` tuples;
     the independent check of ``factorization_count``."""

@@ -9,6 +9,7 @@ from topshuffle import (
     AlgebraElement,
     CapExceeded,
     FiniteGroup,
+    GAlgebraElement,
     Permutation,
     ShuffleSpec,
     algebra,
@@ -18,6 +19,7 @@ from topshuffle import (
     expansion_element,
     g_brute_force_product,
     g_expansion_element,
+    hat_top_to_random,
     identity,
     multiply,
     shuffle_product,
@@ -302,3 +304,30 @@ def test_element_from_json_refuses_non_integer_deck_size():
     with pytest.raises(ValueError):
         AlgebraElement.from_json({**data, "n": "2"})
     assert AlgebraElement.from_json({**data, "n": 2.0}) == top_to_random(1, 2)
+
+
+ELEMENTS = [
+    (AlgebraElement, top_to_random(1, 2)),
+    (GAlgebraElement, hat_top_to_random(1, 2, FiniteGroup.cyclic(2))),
+]
+
+
+@pytest.mark.parametrize("cls, element", ELEMENTS)
+def test_element_from_json_refuses_wrong_shapes(cls, element):
+    data = element.as_json()
+    for bad in (5, [data], {**data, "terms": 5}, {**data, "terms": [5]},
+                {**data, "terms": [[data["terms"][0]["deck"], "1"]]}):
+        with pytest.raises(ValueError):
+            cls.from_json(bad)
+
+
+@pytest.mark.parametrize("cls, element", ELEMENTS)
+def test_element_from_json_refuses_non_integer_coefficients(cls, element):
+    data = element.as_json()
+    deck = data["terms"][0]["deck"]
+    for coeff in (1.5, 2.7, True, "1.5", "x", None, [1]):
+        with pytest.raises(ValueError):
+            cls.from_json({**data, "terms": [{"deck": deck, "coeff": coeff}]})
+    for coeff in ("3", 3, 3.0):
+        loaded = cls.from_json({**data, "terms": [{"deck": deck, "coeff": coeff}]})
+        assert loaded.coefficient(cls._DECK.from_json(deck)) == 3
