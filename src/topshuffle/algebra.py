@@ -31,7 +31,14 @@ from typing import Callable, Mapping, Sequence
 
 from .coefficients import ShuffleSpec, _q_row
 from .errors import CapExceeded
-from .permutations import Permutation, _compose_decks, _integer, _json_list
+from .permutations import (
+    Permutation,
+    _compose_decks,
+    _integer,
+    _json_integer,
+    _json_list,
+    _json_object,
+)
 
 # Ordered letters, pairwise distinct; the operand type of shuffle_product.
 Word = tuple[int, ...]
@@ -145,22 +152,18 @@ class _Element:
 
     @staticmethod
     def _space_from_json(data: dict) -> tuple:
-        return (_integer(data["n"]),)
+        return (_integer(*_json_object(data, "n")),)
 
     @classmethod
     def from_json(cls, data: dict):
-        if not isinstance(data, dict):
-            raise ValueError(f"expected a JSON object, got {data!r}")
         space = cls._space_from_json(data)
         terms = {}
-        for t in _json_list(data["terms"]):
-            if not isinstance(t, dict):
-                raise ValueError(f"expected a term object, got {t!r}")
-            p = cls._DECK.from_json(t["deck"])
+        for t in _json_list(*_json_object(data, "terms")):
+            deck, coeff = _json_object(t, "deck", "coeff")
+            p = cls._DECK.from_json(deck)
             if p in terms:
                 raise ValueError(f"deck {p.as_json()} listed twice")
-            c = t["coeff"]
-            terms[p] = int(c) if isinstance(c, str) else _integer(c)
+            terms[p] = _json_integer(coeff)
         return cls(*space, terms)
 
 

@@ -60,8 +60,15 @@ def _cap(args) -> int:
     return int(raw) if raw else algebra.DEFAULT_TUPLE_CAP
 
 
+def _digits(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
+    return value
+
+
 def _blocks_text(alpha: SegmentedPartition) -> str:
-    return " | ".join(",".join(str(e) for e in sorted(p)) for p in alpha.parts)
+    return " | ".join(",".join(map(str, block)) for block in alpha.as_json())
 
 
 def _add_spec_args(sub: argparse.ArgumentParser, group: bool = True) -> None:
@@ -132,9 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help='JSON deck: [2,1,3] or [{"face":0,"card":2},...] with --group',
     )
-    p.add_argument(
-        "--digits", type=int, default=None, help="also print a decimal approximation"
-    )
+    p.add_argument("--digits", type=_digits, help="also print a decimal approximation")
 
     p = sub.add_parser("stirling", help="Stirling set number")
     p.add_argument("--k", type=int, required=True)

@@ -23,22 +23,24 @@ ways.  One pass over the rounds gives every count ``q_j`` at once, in
 alone number ``C(k-1, j-1)`` for single-card rounds.  ``stirling2`` and
 ``bell`` keep their own recurrence, so they stay an independent check.
 
+A ``SegmentedPartition`` is stored as one tuple of block labels:
+``labels[e-1]`` is the block of slot ``e``, blocks numbered in order of
+their minima.  ``phi`` writes that tuple directly (block ``b`` is card
+``b``), and every other reader slices it at ``ShuffleSpec.bounds()``.
 ``phi_inverse`` unwinds one round per pass over the deck: the deck a round
 found is the cards its slots touched, in slot order, followed by the other
 cards in their current order, and the round's shuffle lists each current
-card's position in that deck.  The slot tables of a spec (``bounds``, the
-round of each slot, the slots of each round) are built once per ``a``.
+card's position in that deck.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
-from .permutations import Permutation, _integer, _json_list, min_shuffle_size
+from .permutations import Permutation, _integer, _json_list, is_term_of
 
 # A shuffle sequence: one permutation per round.
 ShuffleTuple = tuple[Permutation, ...]
@@ -83,22 +85,7 @@ class ShuffleSpec:
     def bounds(self) -> tuple[int, ...]:
         """Cumulative slot counts: round ``i`` owns elements
         ``bounds[i-1]+1 .. bounds[i]``."""
-        return _round_tables(self.a).bounds
-
-
-class _RoundTables(NamedTuple):
-    bounds: tuple[int, ...]
-    round_of: tuple[int, ...]  # 1-based round of each slot element; index 0 unused
-    slots: tuple[range, ...]  # the slot elements of each round
-
-
-@lru_cache(maxsize=1024)
-def _round_tables(a: tuple[int, ...]) -> _RoundTables:
-    """The slot tables of a spec, built once per ``a``."""
-    bounds = tuple(itertools.accumulate(a, initial=0))
-    round_of = (0,) + tuple(i for i, x in enumerate(a, start=1) for _ in range(x))
-    slots = tuple(range(lo + 1, hi + 1) for lo, hi in zip(bounds, bounds[1:]))
-    return _RoundTables(bounds, round_of, slots)
+        return tuple(itertools.accumulate(self.a, initial=0))
 
 
 def falling_factorial(m: int, l: int) -> int:
@@ -139,31 +126,17 @@ def bell(k: int) -> int:
 def anchor_tuples(spec: ShuffleSpec, j: int) -> Iterator[tuple[int, ...]]:
     """All ways ``(l2, ..., lk)`` to distribute the ``j - a1`` fresh cards
     over rounds ``2..k`` with ``0 <= lc <= ac``, lexicographically."""
-    yield from _anchor_tuples(spec.a, j)
 
-
-def _anchor_tuples(a: tuple[int, ...], j: int) -> Iterator[tuple[int, ...]]:
-    rest = a[1:]
-    need = j - a[0]
-    if need < 0:
-        return
-    suffix = [0] * (len(rest) + 1)
-    for i in range(len(rest) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + rest[i]
-
-    def rec(i: int, need: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if i == len(rest):
+    def rec(sizes: tuple[int, ...], need: int) -> Iterator[tuple[int, ...]]:
+        if not sizes:
             if need == 0:
-                yield tuple(acc)
+                yield ()
             return
-        lo = max(0, need - suffix[i + 1])
-        hi = min(rest[i], need)
-        for l in range(lo, hi + 1):
-            acc.append(l)
-            yield from rec(i + 1, need - l, acc)
-            acc.pop()
+        for l in range(max(0, need - sum(sizes[1:])), min(sizes[0], need) + 1):
+            for tail in rec(sizes[1:], need - l):
+                yield (l, *tail)
 
-    yield from rec(0, need, [])
+    return rec(spec.a[1:], j - spec.a[0])
 
 
 def q_cardinality(spec: ShuffleSpec, j: int) -> int:
@@ -201,57 +174,80 @@ def _q_row(a: tuple[int, ...], top: int) -> list[int]:
     return row
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SegmentedPartition:
-    """A partition of ``1..m`` into nonempty blocks, stored in increasing
-    order of block minima."""
+    """A partition of ``1..m`` into nonempty blocks, stored as block labels:
+    ``labels[e-1]`` is the block of element ``e``, and blocks are numbered
+    1, 2, ... in increasing order of their minima."""
 
-    parts: tuple[frozenset[int], ...]
-    size: int = field(init=False, repr=False, compare=False)
+    labels: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        parts = self.parts
-        # Only frozensets of plain ints skip the conversion: ``True == 1``
-        # would pass every check below.
-        if (
-            type(parts) is not tuple
-            or any(type(p) is not frozenset for p in parts)
-            or not {int}.issuperset(map(type, itertools.chain.from_iterable(parts)))
-        ):
-            parts = tuple(frozenset(_integer(e) for e in part) for part in parts)
+    def __init__(self, parts: Iterable[Iterable[int]]) -> None:
+        parts = [[_integer(e) for e in part] for part in parts]
         if not parts or not all(parts):
             raise ValueError("blocks must be nonempty")
-        parts = tuple(sorted(parts, key=min))
-        object.__setattr__(self, "parts", parts)
-        union = frozenset().union(*parts)
         size = sum(map(len, parts))
-        if len(union) != size:
-            raise ValueError("blocks must be disjoint")
-        # ``size`` distinct integers between 1 and ``size`` are all of 1..size.
-        if min(union) != 1 or max(union) != size:
-            raise ValueError("blocks must cover an initial integer range")
-        object.__setattr__(self, "size", size)
+        labels = [0] * size
+        for b, part in enumerate(sorted(parts, key=min), start=1):
+            for e in part:
+                if not 1 <= e <= size:
+                    raise ValueError(f"element {e} outside 1..{size}")
+                if labels[e - 1]:
+                    raise ValueError(f"element {e} is repeated")
+                labels[e - 1] = b
+        object.__setattr__(self, "labels", tuple(labels))
+
+    @classmethod
+    def _from_labels(cls, labels: tuple[int, ...]) -> "SegmentedPartition":
+        """The partition with these labels, which must be canonical: the
+        labels in order of first occurrence are exactly ``1..j``."""
+        firsts = list(dict.fromkeys(labels))
+        if not labels or firsts != list(range(1, len(firsts) + 1)):
+            raise ValueError(f"block labels {labels!r} are not canonical")
+        alpha = object.__new__(cls)
+        object.__setattr__(alpha, "labels", labels)
+        return alpha
 
     @property
     def j(self) -> int:
-        return len(self.parts)
+        return max(self.labels)
+
+    @property
+    def size(self) -> int:
+        return len(self.labels)
+
+    @property
+    def parts(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(frozenset, self.as_json()))
 
     def block_of(self, element: int) -> int:
         """1-based index of the block containing ``element``."""
-        for i, part in enumerate(self.parts):
-            if element in part:
-                return i + 1
-        raise ValueError(f"element {element} not in partition")
+        e = _integer(element)
+        if not 1 <= e <= self.size:
+            raise ValueError(f"element {element} not in partition")
+        return self.labels[e - 1]
 
     def as_json(self) -> list[list[int]]:
-        return [sorted(part) for part in self.parts]
+        blocks: list[list[int]] = [[] for _ in range(self.j)]
+        for e, b in enumerate(self.labels, start=1):
+            blocks[b - 1].append(e)
+        return blocks
 
     @classmethod
     def from_json(cls, data: Iterable[Iterable[int]]) -> "SegmentedPartition":
-        parts = [[_integer(e) for e in _json_list(part)] for part in _json_list(data)]
-        if any(len(set(part)) != len(part) for part in parts):
-            raise ValueError("an element is repeated inside a block")
-        return cls(tuple(map(frozenset, parts)))
+        return cls([_json_list(part) for part in _json_list(data)])
+
+
+def _round_slices(
+    alpha: SegmentedPartition, spec: ShuffleSpec
+) -> list[tuple[int, ...]]:
+    """The labels of each round's slots, after checking the size."""
+    if alpha.size != spec.total:
+        raise ValueError(
+            f"partition covers {alpha.size} slots, spec has {spec.total}"
+        )
+    bounds = spec.bounds()
+    return [alpha.labels[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def respects_rounds(alpha: SegmentedPartition, spec: ShuffleSpec) -> bool:
@@ -260,22 +256,19 @@ def respects_rounds(alpha: SegmentedPartition, spec: ShuffleSpec) -> bool:
     Together with having the right size, this characterizes the partitions
     reachable from shuffle sequences of the given sizes.
     """
-    if alpha.size != spec.total:
-        return False
-    round_of = _round_tables(spec.a).round_of
-    for part in alpha.parts:
-        if len({round_of[e] for e in part}) != len(part):
-            return False
-    return True
+    return alpha.size == spec.total and all(
+        len(set(top)) == len(top) for top in _round_slices(alpha, spec)
+    )
 
 
 def anchor_signature(alpha: SegmentedPartition, spec: ShuffleSpec) -> tuple[int, ...]:
-    """How many blocks each of rounds ``2..k`` opened (their minima counts)."""
-    round_of = _round_tables(spec.a).round_of
-    counts = [0] * spec.k
-    for part in alpha.parts:
-        counts[round_of[min(part)] - 1] += 1
-    return tuple(counts[1:])
+    """How many blocks each of rounds ``2..k`` opened (their minima counts).
+
+    Labels are numbered by minima, so the blocks opened by the end of a
+    round are the largest label seen so far.
+    """
+    opened = list(itertools.accumulate(map(max, _round_slices(alpha, spec)), max))
+    return tuple(b - a for a, b in zip(opened, opened[1:]))
 
 
 def iter_segmented_partitions(
@@ -283,38 +276,30 @@ def iter_segmented_partitions(
 ) -> Iterator[SegmentedPartition]:
     """Yield every reachable ``j``-block partition in a fixed order:
     anchor tuples lexicographically, then the anchor slots per round, then
-    the placements of the remaining slots into already-opened blocks.
+    the seatings of the remaining slots in already-opened blocks.
 
     No deck-size truncation is applied here; callers pass ``j <= n``.
     """
     a = spec.a
-    segments = _round_tables(a).slots[1:]
-    for ls in _anchor_tuples(a, j):
-        anchor_choices = [
-            itertools.combinations(seg, lc) for seg, lc in zip(segments, ls)
+    bounds = spec.bounds()
+    rounds = [range(lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]  # 0-based
+    for ls in anchor_tuples(spec, j):
+        opened = itertools.accumulate(ls, initial=a[0])
+        seats = [
+            itertools.permutations(range(1, o + 1), ac - lc)
+            for o, ac, lc in zip(opened, a[1:], ls)
         ]
-        for anchors in itertools.product(*anchor_choices):
-            rests = [
-                [e for e in seg if e not in set(chosen)]
-                for seg, chosen in zip(segments, anchors)
-            ]
-            opened_before = []
-            opened = a[0]
-            for lc in ls:
-                opened_before.append(opened)
-                opened += lc
-            placement_iters = [
-                itertools.permutations(range(avail), len(rest))
-                for avail, rest in zip(opened_before, rests)
-            ]
-            for placements in itertools.product(*placement_iters):
-                blocks: list[set[int]] = [{e} for e in range(1, a[0] + 1)]
-                for chosen, rest, placement in zip(anchors, rests, placements):
-                    for e in chosen:
-                        blocks.append({e})
-                    for e, b in zip(rest, placement):
-                        blocks[b].add(e)
-                yield SegmentedPartition(tuple(frozenset(b) for b in blocks))
+        seatings = [sum(seating, ()) for seating in itertools.product(*seats)]
+        choices = [itertools.combinations(r, lc) for r, lc in zip(rounds, ls)]
+        for anchors in itertools.product(*choices):
+            labels = [*range(1, a[0] + 1), *[0] * (bounds[-1] - a[0])]
+            for b, e in enumerate(itertools.chain(*anchors), start=a[0] + 1):
+                labels[e] = b
+            rest = [e for e in range(a[0], bounds[-1]) if not labels[e]]
+            for seating in seatings:
+                for e, b in zip(rest, seating):
+                    labels[e] = b
+                yield SegmentedPartition._from_labels(tuple(labels))
 
 
 def enumerate_segmented_partitions(
@@ -327,8 +312,8 @@ def enumerate_segmented_partitions(
 def phi(sigmas: Sequence[Permutation], spec: ShuffleSpec) -> SegmentedPartition:
     """The partition recording which shuffle slot touched which card.
 
-    Simulates the rounds on the sorted deck; the number of blocks is the
-    number of cards touched, computed here rather than supplied.
+    Simulates the rounds on the sorted deck; slot ``e``'s label is the card
+    it touched, and the number of blocks is the number of cards touched.
     """
     if len(sigmas) != spec.k:
         raise ValueError(f"expected {spec.k} shuffles, got {len(sigmas)}")
@@ -338,19 +323,13 @@ def phi(sigmas: Sequence[Permutation], spec: ShuffleSpec) -> SegmentedPartition:
     for sigma, ai in zip(sigmas, spec.a):
         if sigma.n != n:
             raise ValueError(f"deck size {sigma.n} does not match spec size {n}")
-        if min_shuffle_size(sigma) > ai:
+        if not is_term_of(sigma, ai):
             raise ValueError(
                 f"{sigma.deck!r} cannot result from shuffling {ai} cards"
             )
         touched += deck[:ai]
         deck = [deck[c - 1] for c in sigma.deck]
-    blocks: list[list[int]] = [[] for _ in range(n)]
-    for element, card in enumerate(touched, start=1):
-        blocks[card - 1].append(element)
-    j = sum(1 for b in blocks if b)
-    if not all(blocks[:j]):
-        raise ValueError("touched cards do not form an initial run")
-    return SegmentedPartition(tuple(frozenset(b) for b in blocks[:j]))
+    return SegmentedPartition._from_labels(tuple(touched))
 
 
 def phi_inverse(
@@ -366,33 +345,21 @@ def phi_inverse(
     lists each current card's position in it.  The unwound deck must end
     sorted.
     """
-    j = alpha.j
     n = spec.n
     if t.n != n:
         raise ValueError(f"deck size {t.n} does not match spec size {n}")
-    if alpha.size != spec.total:
+    tops = _round_slices(alpha, spec)
+    if not is_term_of(t, alpha.j):
         raise ValueError(
-            f"partition covers {alpha.size} slots, spec has {spec.total}"
+            f"deck {t.deck!r} cannot result from shuffling {alpha.j} cards"
         )
-    if not (max(1, min_shuffle_size(t)) <= j <= n):
-        raise ValueError(
-            f"deck {t.deck!r} cannot result from shuffling {j} cards"
-        )
-    if not respects_rounds(alpha, spec):
-        raise ValueError("some round has two slots in the same block")
-
-    card_of = [0] * spec.total
-    for b, part in enumerate(alpha.parts, start=1):
-        for e in part:
-            card_of[e - 1] = b
-
-    bounds = spec.bounds()
     deck = list(t.deck)
     sigmas: list[Permutation] = [None] * spec.k  # type: ignore[list-item]
     for i in range(spec.k - 1, -1, -1):
-        top = card_of[bounds[i] : bounds[i + 1]]
-        touched = set(top)
-        before = top + [c for c in deck if c not in touched]
+        touched = set(tops[i])
+        if len(touched) != len(tops[i]):
+            raise ValueError("some round has two slots in the same block")
+        before = [*tops[i], *(c for c in deck if c not in touched)]
         position = [0] * (n + 1)
         for p, c in enumerate(before, start=1):
             position[c] = p

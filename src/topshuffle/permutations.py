@@ -154,7 +154,8 @@ class Injection:
 
     @classmethod
     def from_json(cls, data: dict) -> "Injection":
-        return cls(data["a"], tuple(data["targets"]))
+        a, targets = _json_object(data, "a", "targets")
+        return cls(a, tuple(_json_list(targets)))
 
 
 def as_injection(p: Permutation) -> Injection:
@@ -197,11 +198,24 @@ def _integer(x) -> int:
     return int(x)
 
 
+def _json_integer(x) -> int:
+    """A decimal string through ``int``, anything else through ``_integer``."""
+    return int(x) if isinstance(x, str) else _integer(x)
+
+
 def _json_list(data):
     """``data`` if it has the shape of a JSON list; anything else raises."""
     if not isinstance(data, (list, tuple)):
         raise ValueError(f"expected a JSON list, got {data!r}")
     return data
+
+
+def _json_object(data, *keys) -> list:
+    """The values of ``keys`` in ``data`` if it is a JSON object holding
+    them all; anything else raises."""
+    if not isinstance(data, dict) or not data.keys() >= set(keys):
+        raise ValueError(f"expected a JSON object with {', '.join(keys)}, got {data!r}")
+    return [data[k] for k in keys]
 
 
 # Raw-tuple helpers shared with the sibling modules.  They skip dataclass

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .algebra import predicted_tuple_count
 from .coefficients import ShuffleSpec, _q_row
-from .permutations import Permutation, min_shuffle_size
+from .permutations import Permutation, _json_integer, _json_object, min_shuffle_size
 from .wreath import FiniteGroup, GPermutation, _hat_floor, predicted_g_tuple_count
 
 
@@ -69,8 +69,7 @@ def rational_as_json(x: Fraction) -> dict:
 
 
 def rational_from_json(data: dict) -> Fraction:
-    num = int(data["num"])
-    den = int(data["den"])
+    num, den = map(_json_integer, _json_object(data, "num", "den"))
     if den <= 0:
         raise ValueError("denominator must be positive")
     return Fraction(num, den)

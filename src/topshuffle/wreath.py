@@ -45,6 +45,7 @@ from .permutations import (
     _integer,
     _inverse_deck,
     _json_list,
+    _json_object,
     _min_shuffle_raw,
 )
 
@@ -138,9 +139,8 @@ class FiniteGroup:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteGroup":
-        if not isinstance(data, dict):
-            raise ValueError(f"expected a JSON object, got {data!r}")
-        group = cls([_json_list(row) for row in _json_list(data["cayley"])])
+        (cayley,) = _json_object(data, "cayley")
+        group = cls([_json_list(row) for row in _json_list(cayley)])
         if "order" in data and _integer(data["order"]) != group.order:
             raise ValueError("declared order does not match table size")
         return group
@@ -208,9 +208,7 @@ class GPermutation:
 
     @classmethod
     def from_json(cls, data: Sequence[dict]) -> "GPermutation":
-        if not all(isinstance(b, dict) for b in _json_list(data)):
-            raise ValueError('a faced deck lists {"face": f, "card": c} objects')
-        return cls(tuple((b["face"], b["card"]) for b in data))
+        return cls(tuple(_json_object(b, "face", "card") for b in _json_list(data)))
 
 
 def _check_faces(gp: GPermutation, group: FiniteGroup) -> None:
@@ -277,8 +275,8 @@ class GAlgebraElement(_Element):
 
     @staticmethod
     def _space_from_json(data: dict) -> tuple[int, FiniteGroup]:
-        group = FiniteGroup.from_json(data["group"])
-        return _integer(data["n"]), group
+        n, group = _json_object(data, "n", "group")
+        return _integer(n), FiniteGroup.from_json(group)
 
     def __repr__(self) -> str:
         return (

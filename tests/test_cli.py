@@ -261,6 +261,25 @@ def test_malformed_table_file_exits_1(tmp_path, capsys, table):
     assert err.startswith("topshuffle: error:")
 
 
+def test_negative_digits_refused_at_parse_time(capsys):
+    code, out, err = run_cli(
+        capsys, "prob", "--n", "3", "--a", "1,2", "--target", "[2,1,3]",
+        "--digits", "-1",
+    )
+    assert (code, out) == (1, "")
+    assert "argument --digits: expected a nonnegative integer, got -1" in err
+
+
+def test_table_file_missing_its_table_names_the_key(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    code, out, err = run_cli(
+        capsys, "expand", "--n", "2", "--a", "1", "--group", f"table:{path}"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("topshuffle: error: expected a JSON object with cayley")
+
+
 def test_repeated_element_in_a_block_exits_1(capsys):
     with pytest.raises(ValueError, match="repeated"):
         SegmentedPartition.from_json([[1, 1], [2]])

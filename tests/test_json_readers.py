@@ -1,0 +1,66 @@
+"""Every JSON reader refuses a missing key, a wrong shape or a non-integer
+number with ``ValueError``; none raises ``KeyError`` or ``TypeError``, and
+none truncates.  Element coefficients follow the same integer rule as
+rationals; ``tests/test_algebra.py`` checks them."""
+
+from fractions import Fraction
+
+import pytest
+
+from topshuffle import (
+    AlgebraElement,
+    FiniteGroup,
+    GAlgebraElement,
+    GPermutation,
+    Injection,
+    top_to_random,
+)
+from topshuffle.probability import rational_from_json
+
+TERMS = top_to_random(1, 2).as_json()["terms"]
+
+
+@pytest.mark.parametrize(
+    "reader, data",
+    [
+        (AlgebraElement.from_json, {"n": 2}),
+        (AlgebraElement.from_json, {"terms": TERMS}),
+        (AlgebraElement.from_json, {"n": 2, "terms": [{"deck": [1, 2]}]}),
+        (AlgebraElement.from_json, {"n": 2, "terms": [{"coeff": "1"}]}),
+        (FiniteGroup.from_json, {}),
+        (FiniteGroup.from_json, {"order": 1}),
+        (GPermutation.from_json, [{"card": 1}]),
+        (GPermutation.from_json, [{"face": 0}]),
+        (GPermutation.from_json, [5]),
+        (GAlgebraElement.from_json, {"n": 1, "terms": []}),
+        (GAlgebraElement.from_json, 5),
+        (Injection.from_json, {"a": 2}),
+        (Injection.from_json, {"targets": [2]}),
+        (Injection.from_json, 5),
+        (Injection.from_json, {"a": 1, "targets": 5}),
+        (rational_from_json, {}),
+        (rational_from_json, {"num": "1"}),
+        (rational_from_json, 5),
+        (rational_from_json, [1, 2]),
+    ],
+)
+def test_missing_keys_and_wrong_shapes_are_refused(reader, data):
+    with pytest.raises(ValueError):
+        reader(data)
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [(1.5, 2), (True, 2), (1, 2.5), (1, True), (None, 2), ("1.5", 2), ("x", 2)],
+)
+def test_rational_refuses_non_integers(num, den):
+    with pytest.raises(ValueError):
+        rational_from_json({"num": num, "den": den})
+
+
+def test_rational_reads_decimal_strings_and_integral_numbers():
+    assert rational_from_json({"num": "3", "den": "4"}) == Fraction(3, 4)
+    assert rational_from_json({"num": 3, "den": 4.0}) == Fraction(3, 4)
+    assert rational_from_json({"num": "-6", "den": 4}) == Fraction(-3, 2)
+    with pytest.raises(ValueError):
+        rational_from_json({"num": 1, "den": "0"})
