@@ -9,9 +9,11 @@ codes: 0 success, 1 invalid arguments or inputs, 2 enumeration cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
@@ -22,6 +24,7 @@ from .permutations import Permutation, _json_list
 from .wreath import FiniteGroup, GPermutation
 
 ENV_CAP = "TOPSHUFFLE_BRUTE_CAP"
+MAX_DIGITS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,7 +67,29 @@ def _digits(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
+    if value > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_DIGITS} digits, got {value}")
     return value
+
+
+def _approx(value: Fraction, digits: int) -> str:
+    """``value`` rounded half-even to ``digits`` significant digits (at least
+    one) from the exact fraction, laid out as the ``g`` format lays out a float:
+    fixed point for decimal exponents -4 to ``digits - 1``, else scientific,
+    with trailing zeros dropped."""
+    precision = max(digits, 1)
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emin, ctx.Emax = precision, MIN_EMIN, MAX_EMAX
+        rounded = Decimal(value.numerator) / value.denominator
+    if not rounded:
+        return "0"
+    exp = rounded.adjusted()
+    if -4 <= exp < precision:
+        text = f"{rounded:f}"
+        return text.rstrip("0").rstrip(".") if "." in text else text
+    coefficient = "".join(map(str, rounded.as_tuple().digits))
+    mantissa = f"{coefficient[0]}.{coefficient[1:]}".rstrip("0").rstrip(".")
+    return f"{mantissa}e{exp:+03d}"
 
 
 def _blocks_text(alpha: SegmentedPartition) -> str:
@@ -85,7 +110,11 @@ def _add_spec_args(sub: argparse.ArgumentParser, group: bool = True) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.  It is shared:
+    callers must not mutate it.  ``parse_args`` returns a fresh namespace on
+    each call, and the environment is read when a command runs, not here."""
     parser = _Parser(prog="topshuffle", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -250,7 +279,7 @@ def _cmd_prob(args):
         f"probability = {prob.numerator}/{prob.denominator}"
     )
     if args.digits is not None:
-        value["approx"] = f"{float(prob):.{args.digits}g}"
+        value["approx"] = _approx(prob, args.digits)
         text += f"\napprox = {value['approx']}"
     yield 0, value, text
 

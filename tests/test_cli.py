@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,8 @@ from topshuffle import (
     brute_force_product,
     g_brute_force_product,
 )
-from topshuffle.cli import run
+from topshuffle import cli
+from topshuffle.cli import ENV_CAP, MAX_DIGITS, build_parser, run
 
 
 def run_cli(capsys, *argv):
@@ -230,6 +232,45 @@ def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0
 
 
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def captured_run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_shared_parser_answers_like_a_fresh_one(monkeypatch):
+    faced_target = json.dumps([{"face": 2, "card": 2}, {"face": 0, "card": 1}, {"face": 1, "card": 3}])
+    calls = [
+        (None, ["expand", "--n", "52", "--a", "3,5,2"]),
+        (None, ["prob", "--n", "3", "--a", "2,1", "--group", "cyclic:3",
+                "--target", faced_target, "--digits", "5"]),
+        (None, ["coeff", "--n", "52", "--a", "4,4,4", "--j", "9"]),
+        (None, ["expand", "--n", "3", "--a", "1", "--bogus"]),
+        (None, ["--help"]),
+        ("10", ["brute", "--n", "5", "--a", "3,3"]),
+        (None, ["expand", "--n", "5", "--a", "1,1,1", "--format", "text"]),
+        ("10000", ["brute", "--n", "5", "--a", "3,3"]),
+        (None, ["coeff", "--n", "7", "--a", "2,3", "--j", "4"]),
+    ]
+    shared = []
+    for cap, argv in calls:
+        if cap is None:
+            monkeypatch.delenv(ENV_CAP, raising=False)
+        else:
+            monkeypatch.setenv(ENV_CAP, cap)
+        got = captured_run(argv)
+        with monkeypatch.context() as fresh:
+            fresh.setattr(cli, "build_parser", build_parser.__wrapped__)
+            assert got == captured_run(argv), argv
+        shared.append(got[0])
+    assert shared == [0, 0, 0, 1, 0, 2, 0, 0, 0]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -259,6 +300,54 @@ def test_malformed_table_file_exits_1(tmp_path, capsys, table):
     )
     assert code == 1
     assert err.startswith("topshuffle: error:")
+
+
+def test_prob_approx_of_a_tiny_probability_is_not_zero(capsys):
+    ones = ",".join(["1"] * 400)
+    reversed_deck = json.dumps(list(range(200, 0, -1)))
+    code, out, _ = run_cli(
+        capsys, "prob", "--n", "200", "--a", ones, "--target", reversed_deck,
+        "--digits", "5",
+    )
+    assert code == 0
+    data = json.loads(out)
+    prob = Fraction(int(data["probability"]["num"]), int(data["probability"]["den"]))
+    assert data["approx"] == "2.2849e-389"
+    assert abs(Fraction(data["approx"]) - prob) <= Fraction(5, 10**394)
+
+
+def test_prob_approx_has_as_many_digits_as_asked(capsys):
+    code, out, _ = run_cli(
+        capsys, "prob", "--n", "3", "--a", "1,1", "--target", "[2,1,3]",
+        "--digits", "400",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["probability"] == {"num": "2", "den": "9"}
+    assert data["approx"] == "0." + "2" * 400
+
+
+def test_prob_approx_rounds_half_even_from_the_exact_value():
+    # 1/8 and 3/8 are exact binary and decimal ties; 3/20 is a tie only in decimal.
+    assert [cli._approx(Fraction(1, 8), 2), cli._approx(Fraction(3, 8), 2)] == ["0.12", "0.38"]
+    assert cli._approx(Fraction(3, 20), 1) == "0.2"
+    assert cli._approx(Fraction(1, 10**5), 3) == "1e-05"
+    assert cli._approx(Fraction(99999, 10**5), 3) == "1"
+    assert cli._approx(Fraction(0), 0) == "0"
+
+
+def test_digits_above_the_maximum_refused_at_parse_time(capsys):
+    code, out, err = run_cli(
+        capsys, "prob", "--n", "3", "--a", "1,2", "--target", "[2,1,3]",
+        "--digits", str(MAX_DIGITS + 1),
+    )
+    assert (code, out) == (1, "")
+    assert f"expected at most {MAX_DIGITS} digits" in err
+
+
+def test_expand_with_a_large_cyclic_group_exits_0(capsys):
+    code, out, _ = run_cli(capsys, "expand", "--n", "2", "--a", "1", "--group", "cyclic:2000")
+    assert (code, json.loads(out)) == (0, {"1": "1"})
 
 
 def test_negative_digits_refused_at_parse_time(capsys):

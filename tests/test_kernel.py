@@ -9,7 +9,7 @@ import types
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topshuffle import (
@@ -85,6 +85,24 @@ def test_all_singles_row_is_stirling(k):
 
 def test_truncated_all_singles_row_is_a_stirling_prefix():
     assert _q_row((1,) * 300, DECK) == _stirling_row(300, DECK)
+
+
+def surjections(k, j):
+    """Maps of ``k`` rounds onto ``j`` cards, by inclusion-exclusion."""
+    return sum((-1) ** i * math.comb(j, i) * (j - i) ** k for i in range(j + 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, DECK), k=st.integers(1, 1000))
+@example(n=DECK, k=1000)
+def test_all_singles_row_counts_surjections(n, k):
+    """``j! * q_j`` for ``k`` single-card rounds counts the maps of the rounds
+    onto ``j`` cards: no DP and no recurrence on the right-hand side."""
+    spec = ShuffleSpec(n, (1,) * k)
+    row = expansion(spec)
+    for j in range(1, n + 1):
+        assert math.factorial(j) * row.get(j, 0) == surjections(k, j), j
+    assert math.factorial(n) * q_cardinality(spec, n) == surjections(k, n)
 
 
 sizes = st.lists(st.integers(1, DECK), min_size=1, max_size=40).map(tuple)

@@ -1,6 +1,7 @@
 """Faced decks, group tables, and the scaled expansion."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given
@@ -67,6 +68,82 @@ def test_group_validation_rejects_bad_tables():
         FiniteGroup([[0, 1], [1, 2]])
     with pytest.raises(ValueError):  # (1*1)*2 = 1 but 1*(1*2) = 2
         FiniteGroup([[0, 1, 2], [1, 2, 2], [2, 2, 1]])
+
+
+def non_associative_triples(table):
+    """Every triple checked directly: cubic, small tables only."""
+    m = len(table)
+    return [
+        (a, b, c)
+        for a, b, c in itertools.product(range(m), repeat=3)
+        if table[table[a][b]][c] != table[a][table[b][c]]
+    ]
+
+
+def has_inverses(table):
+    m = len(table)
+    return all(any(table[a][b] == 0 == table[b][a] for b in range(m)) for a in range(m))
+
+
+def check_against_brute_force(table):
+    """Accepted exactly when a group; refused as not associative whenever
+    the inverses are there."""
+    if not non_associative_triples(table) and has_inverses(table):
+        assert FiniteGroup(table).cayley == tuple(map(tuple, table))
+        return
+    with pytest.raises(ValueError) as refused:
+        FiniteGroup(table)
+    if has_inverses(table):
+        assert "not associative" in str(refused.value)
+
+
+def test_large_cyclic_group_is_built_fast():
+    start = time.perf_counter()
+    group = FiniteGroup.cyclic(2000)
+    assert time.perf_counter() - start < 1.0
+    assert group.order == 2000
+    assert group.mul(1999, 3) == 2 and group.inv(7) == 1993 and group.inv(0) == 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 12])
+def test_cyclic_group_equals_its_checked_table(m):
+    group = FiniteGroup.cyclic(m)
+    checked = FiniteGroup([[(i + j) % m for j in range(m)] for i in range(m)])
+    assert group == checked and group.inverse == checked.inverse
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        # Two generators, so the associativity test itself refuses it.
+        ([[0, 1, 2, 3], [1, 0, 2, 3], [2, 3, 2, 3], [3, 3, 2, 3]], "not associative"),
+        # Three generators: more than log2(4), and element 2 has no inverse.
+        ([[0, 1, 2, 3], [1, 0, 2, 2], [2, 2, 2, 2], [3, 3, 2, 2]], "no two-sided inverse"),
+    ],
+)
+def test_table_with_one_non_associative_triple_is_refused(table, message):
+    assert len(non_associative_triples(table)) == 1
+    with pytest.raises(ValueError, match=message):
+        FiniteGroup(table)
+
+
+def test_every_3_by_3_table_is_accepted_exactly_when_it_is_a_group():
+    for free in itertools.product(range(3), repeat=4):
+        check_against_brute_force([[0, 1, 2], [1, *free[:2]], [2, *free[2:]]])
+
+
+@given(
+    base=st.sampled_from([FiniteGroup.cyclic(m) for m in range(2, 9)] + [S3]),
+    edits=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 7)), max_size=3),
+)
+def test_edited_group_tables_are_accepted_exactly_when_they_are_groups(base, edits):
+    """Entries off the identity row and column are overwritten, so element 0
+    stays the identity and only associativity and inverses can fail."""
+    m = base.order
+    table = [list(row) for row in base.cayley]
+    for a, b, x in edits:
+        table[1 + a % (m - 1)][1 + b % (m - 1)] = x % m
+    check_against_brute_force(table)
 
 
 def test_group_json_roundtrip():
