@@ -17,6 +17,12 @@ fold shares no code with ``expansion``, ``expansion_element`` or
 ``wreath.g_expansion*``, so the oracle stays an independent check of the
 closed form.
 
+``brute_force_product`` and ``expansion_element`` wrap raw tallies, deck
+tuple to count (``_brute_force_tally``, ``_expansion_tally``), in an
+element whose terms go through the checked constructors when first read.
+Equality between two such elements compares the tallies, so the CLI's
+``verify`` builds deck objects only on a mismatch.
+
 All coefficients are exact arbitrary-precision integers.
 """
 
@@ -34,6 +40,7 @@ from .errors import CapExceeded
 from .permutations import (
     Permutation,
     _compose_decks,
+    _int_str,
     _integer,
     _json_integer,
     _json_list,
@@ -65,11 +72,14 @@ class _Element:
     """Body shared by ``AlgebraElement`` and ``wreath.GAlgebraElement``.
 
     A subclass supplies its constructor, ``_DECK`` (the deck class),
-    ``_sort_key`` and ``__repr__``; an algebra with more than a deck size
-    also overrides ``_MISMATCH`` and the JSON header methods.
+    ``_decode`` (raw deck to deck), ``_sort_key`` and ``__repr__``; an
+    algebra with more than a deck size also overrides ``_MISMATCH`` and the
+    JSON header methods.
     """
 
-    __slots__ = ("n", "_space", "_terms")
+    # ``_built`` holds the checked terms; ``_raw``, the raw tally of an
+    # element from ``_of_tally`` whose terms have not been read yet.
+    __slots__ = ("n", "_space", "_built", "_raw")
     _MISMATCH = "deck sizes differ: {0.n} != {1.n}"
 
     def _store(self, space: tuple, terms: Mapping, check=None) -> None:
@@ -90,7 +100,26 @@ class _Element:
             pruned[p] = c
         self.n = n
         self._space = space
-        self._terms = pruned
+        self._built = pruned
+        self._raw = None
+
+    @classmethod
+    def _of_tally(cls, space: tuple, tally: Mapping):
+        """The element over ``space`` of a raw tally that the package built:
+        keys in the form ``_decode`` reads, no zero counts.  Its terms go
+        through the checked constructor when first read; until then ``len``
+        and ``==`` between two such elements work on the tallies."""
+        self = object.__new__(cls)
+        self.n, self._space, self._built, self._raw = space[0], space, None, tally
+        return self
+
+    @property
+    def _terms(self) -> dict:
+        if self._built is None:
+            decode = self._decode
+            terms = {decode(r): c for r, c in self._raw.items()}
+            self._built, self._raw = type(self)(*self._space, terms)._built, None
+        return self._built
 
     def _require_same(self, other) -> None:
         if self._space != other._space:
@@ -126,10 +155,17 @@ class _Element:
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._space == other._space and self._terms == other._terms
+        if self._space != other._space:
+            return False
+        if self._raw is not None and other._raw is not None:
+            # One decoding, one-to-one, and no zero counts: the tallies are
+            # equal exactly when the terms are.  ``dict.__eq__`` runs in C,
+            # where ``Counter.__eq__`` loops over the keys in Python.
+            return dict.__eq__(self._raw, other._raw)
+        return self._terms == other._terms
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._built if self._raw is None else self._raw)
 
     def _convolve(self, other, cap: int, encode, compose_row, decode):
         """Convolution product in a raw form where ``compose_row(r, rs)`` lists
@@ -144,7 +180,9 @@ class _Element:
         return type(self)(*self._space, {decode(r): c for r, c in out.items()})
 
     def as_json(self) -> dict:
-        terms = [{"deck": p.as_json(), "coeff": str(c)} for p, c in self.sorted_terms()]
+        terms = [
+            {"deck": p.as_json(), "coeff": _int_str(c)} for p, c in self.sorted_terms()
+        ]
         return {**self._json_header(), "terms": terms}
 
     def _json_header(self) -> dict:
@@ -176,6 +214,7 @@ class AlgebraElement(_Element):
 
     __slots__ = ()
     _DECK = Permutation
+    _decode = Permutation
 
     def __init__(self, n: int, terms: Mapping[Permutation, int]):
         self._store((n,), terms)
@@ -270,6 +309,22 @@ def _getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
     return itemgetter(*indices)
 
 
+def _brute_force_tally(spec: ShuffleSpec, cap: int) -> Counter:
+    """``brute_force_product`` as a raw tally: deck tuple to the number of
+    factor-term tuples whose composite it is."""
+    _check_cap(predicted_tuple_count(spec), cap)
+    n = spec.n
+    # Each term as the getter of its deck: ``g(cur)`` composes ``cur`` with it.
+    getters = {
+        ai: [_getter([c - 1 for c in d]) for d in _top_to_random_decks(ai, n)]
+        for ai in set(spec.a)
+    }
+    factors = [getters[ai] for ai in spec.a]
+    return _walk_tuples(
+        tuple(range(1, n + 1)), factors, lambda cur, gs: [g(cur) for g in gs]
+    )
+
+
 def brute_force_product(
     spec: ShuffleSpec, cap: int = DEFAULT_TUPLE_CAP
 ) -> AlgebraElement:
@@ -279,18 +334,7 @@ def brute_force_product(
     decks in ``_walk_tuples``.  Refuses up front (never truncates) when the
     tuple count exceeds ``cap``.
     """
-    _check_cap(predicted_tuple_count(spec), cap)
-    n = spec.n
-    # Each term as the getter of its deck: ``g(cur)`` composes ``cur`` with it.
-    getters = {
-        ai: [_getter([c - 1 for c in d]) for d in _top_to_random_decks(ai, n)]
-        for ai in set(spec.a)
-    }
-    factors = [getters[ai] for ai in spec.a]
-    tally = _walk_tuples(
-        tuple(range(1, n + 1)), factors, lambda cur, gs: [g(cur) for g in gs]
-    )
-    return AlgebraElement(n, {Permutation(d): c for d, c in tally.items()})
+    return AlgebraElement._of_tally((spec.n,), _brute_force_tally(spec, cap))
 
 
 def expansion(spec: ShuffleSpec) -> dict[int, int]:
@@ -301,16 +345,22 @@ def expansion(spec: ShuffleSpec) -> dict[int, int]:
     return {j: c for j in range(spec.j_min, spec.j_max + 1) if (c := row[j])}
 
 
+def _expansion_tally(spec: ShuffleSpec, cap: int) -> dict[tuple[int, ...], int]:
+    """``expansion_element`` as a raw tally: deck tuple to coefficient."""
+    counts = expansion(spec)
+    _check_term_count(spec.n, counts, cap)
+    terms: dict[tuple[int, ...], int] = {}
+    get = terms.get
+    for j, c in counts.items():
+        for d in _top_to_random_decks(j, spec.n):
+            terms[d] = get(d, 0) + c
+    return terms
+
+
 def expansion_element(
     spec: ShuffleSpec, cap: int = DEFAULT_TUPLE_CAP
 ) -> AlgebraElement:
     """The expansion materialized as a single element, for comparison
     against ``brute_force_product``.  Refuses up front when the shuffle
     sums it adds up have more than ``cap`` terms in total."""
-    counts = expansion(spec)
-    _check_term_count(spec.n, counts, cap)
-    terms: Counter = Counter()
-    for j, c in counts.items():
-        for d in _top_to_random_decks(j, spec.n):
-            terms[d] += c
-    return AlgebraElement(spec.n, {Permutation(d): c for d, c in terms.items()})
+    return AlgebraElement._of_tally((spec.n,), _expansion_tally(spec, cap))

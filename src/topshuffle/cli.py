@@ -20,7 +20,7 @@ from typing import Sequence
 from . import algebra, coefficients, probability, wreath
 from .coefficients import SegmentedPartition, ShuffleSpec
 from .errors import CapExceeded
-from .permutations import Permutation, _json_list
+from .permutations import Permutation, _int_str, _json_list
 from .wreath import FiniteGroup, GPermutation
 
 ENV_CAP = "TOPSHUFFLE_BRUTE_CAP"
@@ -192,8 +192,8 @@ def _cmd_expand(args):
         result = algebra.expansion(spec)
     else:
         result = wreath.g_expansion(spec, group)
-    text = "\n".join(f"{j}\t{c}" for j, c in result.items())
-    yield 0, {str(j): str(c) for j, c in result.items()}, text
+    value = {str(j): _int_str(c) for j, c in result.items()}
+    yield 0, value, "\n".join(f"{j}\t{c}" for j, c in value.items())
 
 
 def _element_for(spec: ShuffleSpec, group, cap: int, brute: bool):
@@ -214,6 +214,8 @@ def _cmd_verify(args):
     spec, cap, group = _spec(args), _cap(args), _group(args)
     oracle = _element_for(spec, group, cap, brute=True)
     expanded = _element_for(spec, group, cap, brute=False)
+    # Both elements still hold their raw tallies here, so a match is found
+    # without building a single deck object.
     if oracle == expanded:
         yield 0, {"match": True, "terms": len(oracle)}, "match"
         return
@@ -230,8 +232,8 @@ def _cmd_verify(args):
 
 
 def _cmd_coeff(args):
-    value = coefficients.q_cardinality(_spec(args), args.j)
-    yield 0, {"j": args.j, "coefficient": str(value)}, str(value)
+    value = _int_str(coefficients.q_cardinality(_spec(args), args.j))
+    yield 0, {"j": args.j, "coefficient": value}, value
 
 
 def _cmd_partitions(args):
@@ -269,14 +271,15 @@ def _cmd_prob(args):
         ways = probability.g_ways_to_reach(target, spec, group)
         outcomes = probability.g_total_outcomes(spec, group)
     prob = Fraction(ways, outcomes)
+    rational = probability.rational_as_json(prob)
     value = {
-        "ways": str(ways),
-        "outcomes": str(outcomes),
-        "probability": probability.rational_as_json(prob),
+        "ways": _int_str(ways),
+        "outcomes": _int_str(outcomes),
+        "probability": rational,
     }
     text = (
-        f"ways = {ways}\noutcomes = {outcomes}\n"
-        f"probability = {prob.numerator}/{prob.denominator}"
+        f"ways = {value['ways']}\noutcomes = {value['outcomes']}\n"
+        f"probability = {rational['num']}/{rational['den']}"
     )
     if args.digits is not None:
         value["approx"] = _approx(prob, args.digits)
@@ -285,13 +288,13 @@ def _cmd_prob(args):
 
 
 def _cmd_stirling(args):
-    value = coefficients.stirling2(args.k, args.j)
-    yield 0, {"value": str(value)}, str(value)
+    value = _int_str(coefficients.stirling2(args.k, args.j))
+    yield 0, {"value": value}, value
 
 
 def _cmd_bell(args):
-    value = coefficients.bell(args.k)
-    yield 0, {"value": str(value)}, str(value)
+    value = _int_str(coefficients.bell(args.k))
+    yield 0, {"value": value}, value
 
 
 _COMMANDS = {

@@ -40,6 +40,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .errors import CapExceeded
 from .permutations import Permutation, _integer, _json_list, is_term_of
 
 # A shuffle sequence: one permutation per round.
@@ -95,15 +96,31 @@ def falling_factorial(m: int, l: int) -> int:
     return math.perm(m, l)
 
 
+# Most cells the Stirling recurrence may fill: ``bell(2000)`` fills 2000**2
+# of them in about 2 s, and the time grows faster than the cell count,
+# because the numbers grow too.
+STIRLING_CELL_CAP = 4 * 10**6
+
+
+def _check_cells(cells: int) -> None:
+    if cells > STIRLING_CELL_CAP:
+        raise CapExceeded(cells, STIRLING_CELL_CAP, "Stirling recurrence cells")
+
+
 def stirling2(k: int, j: int) -> int:
     """Partitions of a ``k``-set into exactly ``j`` nonempty blocks.
 
     Computed by the classical recurrence S(k,j) = j*S(k-1,j) + S(k-1,j-1),
     deliberately independent of the anchor-sum formula it is tested against.
+    Refused with ``CapExceeded`` when its ``k * j`` cells exceed
+    ``STIRLING_CELL_CAP``.
     """
     if k < 0 or j < 0:
         raise ValueError("arguments must be nonnegative")
-    return _stirling_row(k, j)[j] if j <= k else 0
+    if j == 0 or j > k:
+        return int(k == j)
+    _check_cells(k * j)
+    return _stirling_row(k, j)[j]
 
 
 def _stirling_row(k: int, top: int) -> list[int]:
@@ -117,9 +134,11 @@ def _stirling_row(k: int, top: int) -> list[int]:
 
 
 def bell(k: int) -> int:
-    """Partitions of a ``k``-set into any number of blocks, ``k >= 1``."""
+    """Partitions of a ``k``-set into any number of blocks, ``k >= 1``;
+    refused with ``CapExceeded`` when ``k * k`` exceeds ``STIRLING_CELL_CAP``."""
     if k < 1:
         raise ValueError("k must be at least 1")
+    _check_cells(k * k)
     return sum(_stirling_row(k, k))
 
 
@@ -363,7 +382,9 @@ def phi_inverse(
         position = [0] * (n + 1)
         for p, c in enumerate(before, start=1):
             position[c] = p
-        sigmas[i] = Permutation(tuple([position[c] for c in deck]))
+        # ``before`` is a permutation of 1..n (the round's labels are distinct
+        # cards of 1..alpha.j, and alpha.j <= n), so this deck is one too.
+        sigmas[i] = Permutation._trusted(tuple([position[c] for c in deck]))
         deck = before
     if deck != list(range(1, n + 1)):
         raise ValueError("partition does not rebuild the sorted deck")

@@ -8,9 +8,9 @@ class CapExceeded(RuntimeError):
     truncated.
     """
 
-    def __init__(self, required: int, cap: int):
+    def __init__(self, required: int, cap: int, unit: str = "tuples"):
         super().__init__(
-            f"enumeration needs {required} tuples, above the cap of {cap}"
+            f"enumeration needs {required} {unit}, above the cap of {cap}"
         )
         self.required = required
         self.cap = cap

@@ -14,7 +14,10 @@ serialization.
 from __future__ import annotations
 
 import itertools
+import re
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -43,6 +46,14 @@ class Permutation:
             raise ValueError("empty deck")
         if sorted(deck) != _range_list(n):
             raise ValueError(f"deck {deck!r} is not a permutation of 1..{n}")
+
+    @classmethod
+    def _trusted(cls, deck: tuple[int, ...]) -> "Permutation":
+        """The permutation with this deck, unchecked: only for a tuple of
+        ints that is a permutation of ``1..n`` by construction."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "deck", deck)
+        return p
 
     @property
     def n(self) -> int:
@@ -198,9 +209,31 @@ def _integer(x) -> int:
     return int(x)
 
 
+# What ``int`` reads from a string, in ASCII digits.
+_INT_SHAPE = re.compile(r"\s*[+-]?[0-9]+(?:_[0-9]+)*\s*")
+
+
 def _json_integer(x) -> int:
-    """A decimal string through ``int``, anything else through ``_integer``."""
-    return int(x) if isinstance(x, str) else _integer(x)
+    """A decimal string through ``int``, anything else through ``_integer``.
+    A string past ``int``'s limit on digits, as ``_int_str`` writes it, is
+    read through ``decimal`` once it has the shape ``int`` would read."""
+    if not isinstance(x, str):
+        return _integer(x)
+    limit = sys.get_int_max_str_digits()
+    if limit and len(x) > limit and _INT_SHAPE.fullmatch(x):
+        return int(Decimal(x))
+    return int(x)
+
+
+def _int_str(x: int) -> str:
+    """``str(x)`` for an int of any size.  ``str`` refuses an int of more than
+    ``sys.get_int_max_str_digits()`` digits, so such an int is rendered
+    through ``decimal`` instead, and the interpreter's limit is left alone."""
+    limit = sys.get_int_max_str_digits()
+    # Below 2**(3 * limit), which is below 10**limit, ``str`` always succeeds.
+    if not limit or x.bit_length() <= 3 * limit:
+        return str(x)
+    return str(Decimal(x))
 
 
 def _json_list(data):

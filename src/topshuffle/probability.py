@@ -17,7 +17,13 @@ from fractions import Fraction
 
 from .algebra import predicted_tuple_count
 from .coefficients import ShuffleSpec, _q_row
-from .permutations import Permutation, _json_integer, _json_object, min_shuffle_size
+from .permutations import (
+    Permutation,
+    _int_str,
+    _json_integer,
+    _json_object,
+    min_shuffle_size,
+)
 from .wreath import FiniteGroup, GPermutation, _hat_floor, predicted_g_tuple_count
 
 
@@ -65,7 +71,7 @@ def g_probability_of(
 
 
 def rational_as_json(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
+    return {"num": _int_str(x.numerator), "den": _int_str(x.denominator)}
 
 
 def rational_from_json(data: dict) -> Fraction:

@@ -16,6 +16,10 @@ identity, so arbitrary finite groups (including nonabelian ones) work.
 oracles ``g_brute_force_product`` and ``factorization_counts_by_enumeration``
 count tuples in the one fold ``algebra._walk_tuples``, which shares no
 code with ``expansion``, ``expansion_element`` or ``g_expansion*``.
+``g_brute_force_product`` and ``g_expansion_element`` wrap raw tallies,
+keyed by (positions by card, faces by card), in an element whose terms are
+built when first read; equality between two such elements compares the
+tallies, so the CLI's ``verify`` builds deck objects only on a mismatch.
 """
 
 from __future__ import annotations
@@ -299,13 +303,17 @@ def g_compose(s: GPermutation, t: GPermutation, group: FiniteGroup) -> GPermutat
 class GAlgebraElement(_Element):
     """A finite sum of faced decks with nonnegative integer coefficients."""
 
-    __slots__ = ("group",)
+    __slots__ = ()
     _DECK = GPermutation
+    _decode = staticmethod(_from_raw)
     _MISMATCH = "elements live in different algebras"
 
     def __init__(self, n: int, group: FiniteGroup, terms: Mapping[GPermutation, int]):
-        self.group = group
         self._store((n, group), terms, lambda gp: _check_faces(gp, group))
+
+    @property
+    def group(self) -> FiniteGroup:
+        return self._space[1]
 
     @staticmethod
     def _sort_key(gp: GPermutation) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -390,19 +398,25 @@ def predicted_g_tuple_count(spec: ShuffleSpec, group: FiniteGroup) -> int:
     return group.order**spec.total * predicted_tuple_count(spec)
 
 
+def _g_brute_force_tally(spec: ShuffleSpec, group: FiniteGroup, cap: int) -> Counter:
+    """``g_brute_force_product`` as a raw tally: raw faced deck to the number
+    of factor-term tuples whose composite it is."""
+    _check_cap(predicted_g_tuple_count(spec, group), cap)
+    n = spec.n
+    terms = {ai: list(_hat_decks_raw(ai, n, group.order)) for ai in set(spec.a)}
+    start = (tuple(range(1, n + 1)), (0,) * n)
+    row = partial(_g_compose_row, cayley=group.cayley)
+    return _walk_tuples(start, [terms[ai] for ai in spec.a], row)
+
+
 def g_brute_force_product(
     spec: ShuffleSpec, group: FiniteGroup, cap: int = DEFAULT_TUPLE_CAP
 ) -> GAlgebraElement:
     """Exact product of the spec's faced shuffle sums by exhaustive count of
     all term tuples, through the fold over distinct states in
     ``_walk_tuples``."""
-    _check_cap(predicted_g_tuple_count(spec, group), cap)
-    n = spec.n
-    terms = {ai: list(_hat_decks_raw(ai, n, group.order)) for ai in set(spec.a)}
-    start = (tuple(range(1, n + 1)), (0,) * n)
-    row = partial(_g_compose_row, cayley=group.cayley)
-    tally = _walk_tuples(start, [terms[ai] for ai in spec.a], row)
-    return GAlgebraElement(n, group, {_from_raw(r): c for r, c in tally.items()})
+    tally = _g_brute_force_tally(spec, group, cap)
+    return GAlgebraElement._of_tally((spec.n, group), tally)
 
 
 def g_expansion(spec: ShuffleSpec, group: FiniteGroup) -> dict[int, int]:
@@ -414,19 +428,26 @@ def g_expansion(spec: ShuffleSpec, group: FiniteGroup) -> dict[int, int]:
     }
 
 
+def _g_expansion_tally(spec: ShuffleSpec, group: FiniteGroup, cap: int) -> dict:
+    """``g_expansion_element`` as a raw tally: raw faced deck to coefficient."""
+    counts = g_expansion(spec, group)
+    _check_term_count(spec.n, counts, cap, group.order)
+    terms: dict = {}
+    get = terms.get
+    for c, coeff in counts.items():
+        for raw in _hat_decks_raw(c, spec.n, group.order):
+            terms[raw] = get(raw, 0) + coeff
+    return terms
+
+
 def g_expansion_element(
     spec: ShuffleSpec, group: FiniteGroup, cap: int = DEFAULT_TUPLE_CAP
 ) -> GAlgebraElement:
     """The faced expansion materialized as one element, for comparison
     against ``g_brute_force_product``.  Refuses up front when the faced
     shuffle sums it adds up have more than ``cap`` terms in total."""
-    counts = g_expansion(spec, group)
-    _check_term_count(spec.n, counts, cap, group.order)
-    terms: Counter = Counter()
-    for c, coeff in counts.items():
-        for raw in _hat_decks_raw(c, spec.n, group.order):
-            terms[raw] += coeff
-    return GAlgebraElement(spec.n, group, {_from_raw(r): c for r, c in terms.items()})
+    tally = _g_expansion_tally(spec, group, cap)
+    return GAlgebraElement._of_tally((spec.n, group), tally)
 
 
 def is_hat_term(target: GPermutation, c: int, group: FiniteGroup) -> bool:

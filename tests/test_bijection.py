@@ -80,6 +80,16 @@ def test_inverse_matches_reference_unwind(case):
     assert phi(got, spec) == alpha
 
 
+@settings(max_examples=300, deadline=None)
+@given(case=bijection_cases())
+def test_unwound_shuffles_pass_the_public_checks(case):
+    spec, sigmas, alpha, t = case
+    product = Permutation(composite([s.deck for s in sigmas], spec.n))
+    for target in (product, t):
+        for s in phi_inverse(alpha, target, spec):
+            assert Permutation(s.deck) == s
+
+
 # Every refusal -------------------------------------------------------------
 
 SPEC = ShuffleSpec(3, (1, 2))

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from topshuffle import (
 )
 from topshuffle import cli
 from topshuffle.cli import ENV_CAP, MAX_DIGITS, build_parser, run
+from topshuffle.permutations import _int_str
 
 
 def run_cli(capsys, *argv):
@@ -172,6 +175,63 @@ def test_large_stirling_and_bell_exit_0(capsys):
     assert int(json.loads(out)["value"]) > 0
 
 
+def test_stirling_and_bell_past_the_cell_cap_exit_2(capsys):
+    code, out, err = run_cli(capsys, "bell", "--k", "100000")
+    assert (code, out) == (2, "")
+    assert "above the cap of" in err
+    assert run_cli(capsys, "stirling", "--k", "100000", "--j", "50000")[0] == 2
+
+
+def parse_int(text):
+    """``int(text)`` past the interpreter's limit on decimal digits."""
+    value = 0
+    for i in range(0, len(text), 4000):
+        chunk = text[i : i + 4000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_int_str_is_exact_on_both_sides_of_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    for digits in (1, limit - 1, limit, limit + 1, 2 * limit):
+        assert _int_str(10**digits - 1) == "9" * digits
+        assert _int_str(-(10**digits)) == "-1" + "0" * digits
+    widest_str = 2 ** (3 * limit) - 1  # the largest int rendered by ``str``
+    assert _int_str(widest_str) == str(widest_str)
+    assert parse_int(_int_str(widest_str + 1)) == widest_str + 1
+
+
+def test_integers_past_the_str_digit_limit_are_printed(capsys):
+    code, out, _ = run_cli(capsys, "stirling", "--k", "15000", "--j", "2")
+    assert code == 0
+    value = json.loads(out)["value"]
+    assert len(value) > sys.get_int_max_str_digits()
+    assert parse_int(value) == 2**14999 - 1
+
+    singles = ("--n", "52", "--a", ",".join(["1"] * 3000))
+    code, out, _ = run_cli(capsys, "expand", *singles)
+    assert code == 0
+    mass = sum(parse_int(c) * math.perm(52, int(j)) for j, c in json.loads(out).items())
+    assert mass == 52**3000
+
+    target = json.dumps(list(range(1, 53)))
+    code, out, _ = run_cli(capsys, "prob", *singles, "--target", target)
+    assert code == 0
+    data = json.loads(out)
+    assert parse_int(data["outcomes"]) == 52**3000
+    ways = parse_int(data["ways"])
+    num, den = data["probability"]["num"], data["probability"]["den"]
+    assert Fraction(parse_int(num), parse_int(den)) == Fraction(ways, 52**3000)
+    text = ("--format", "text")
+    code, out, _ = run_cli(capsys, "prob", *singles, "--target", target, *text)
+    assert code == 0
+    assert out.splitlines() == [
+        f"ways = {data['ways']}",
+        f"outcomes = {data['outcomes']}",
+        f"probability = {num}/{den}",
+    ]
+
+
 def test_non_integer_target_exits_1(capsys):
     target = "[1.9, 2.2]"
     assert run_cli(capsys, "prob", "--n", "2", "--a", "1", "--target", target)[0] == 1
@@ -226,6 +286,33 @@ def test_mismatch_exit_code_3(capsys, monkeypatch):
     data = json.loads(out)
     assert data["match"] is False
     assert data["expansion"] != data["brute_force"]
+
+
+@pytest.mark.parametrize("group", [None, "cyclic:2"], ids=["plain", "faced"])
+def test_tally_mismatch_exit_code_3(capsys, monkeypatch, group):
+    # One raw entry of the expansion's tally gets 1 more, so the two sides
+    # are still compared tally to tally when the mismatch is found.
+    element_for = cli._element_for
+
+    def broken(spec, group, cap, brute):
+        element = element_for(spec, group, cap, brute)
+        if brute:
+            return element
+        tally = dict(element._raw)
+        tally[next(iter(tally))] += 1
+        return type(element)._of_tally(element._space, tally)
+
+    monkeypatch.setattr(cli, "_element_for", broken)
+    argv = ["verify", "--n", "3", "--a", "1,1"] + (["--group", group] if group else [])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 3
+    data = json.loads(out)
+    assert data["match"] is False
+    assert data["expansion"] != data["brute_force"]
+    if group:
+        assert [set(c) for c in data["deck"]] == [{"face", "card"}] * 3
+    else:
+        assert sorted(data["deck"]) == [1, 2, 3]
 
 
 def test_help_exits_0(capsys):

@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import time
 
 import pytest
 
 from topshuffle import (
+    CapExceeded,
     Permutation,
     SegmentedPartition,
     ShuffleSpec,
@@ -20,8 +22,9 @@ from topshuffle import (
     respects_rounds,
     stirling2,
 )
+from topshuffle import coefficients
 from topshuffle.algebra import _top_to_random_decks
-from topshuffle.coefficients import _q_count
+from topshuffle.coefficients import STIRLING_CELL_CAP, _q_count
 
 
 # Independent oracles -------------------------------------------------------
@@ -134,6 +137,33 @@ def test_stirling_and_bell_at_large_k_do_not_recurse():
             nxt.append(nxt[-1] + x)
         row = nxt
     assert bell(1200) == row[-1]
+
+
+def test_stirling_and_bell_refuse_past_the_cell_cap_up_front(monkeypatch):
+    rows = []
+
+    def fake_row(k, top):
+        rows.append((k, top))
+        return [0] * (top + 1)
+
+    monkeypatch.setattr(coefficients, "_stirling_row", fake_row)
+    start = time.perf_counter()
+    refused = [
+        (100_000, None),
+        (2001, None),
+        (100_000, 50_000),
+        (STIRLING_CELL_CAP + 1, 1),
+    ]
+    for k, j in refused:
+        with pytest.raises(CapExceeded, match="Stirling recurrence cells"):
+            bell(k) if j is None else stirling2(k, j)
+    assert time.perf_counter() - start < 1
+    assert rows == []
+    # At the cap itself, and where no cell is needed, nothing is refused.
+    assert bell(2000) == 0 and stirling2(STIRLING_CELL_CAP, 1) == 0
+    assert stirling2(10**9, 10**9 + 1) == 0
+    assert stirling2(10**12, 0) == 0 and stirling2(0, 0) == 1
+    assert rows == [(2000, 2000), (STIRLING_CELL_CAP, 1)]
 
 
 def test_bell_equals_q_sum_for_all_ones():

@@ -13,9 +13,10 @@ from topshuffle import (
     GAlgebraElement,
     GPermutation,
     Injection,
+    Permutation,
     top_to_random,
 )
-from topshuffle.probability import rational_from_json
+from topshuffle.probability import rational_as_json, rational_from_json
 
 TERMS = top_to_random(1, 2).as_json()["terms"]
 
@@ -64,3 +65,16 @@ def test_rational_reads_decimal_strings_and_integral_numbers():
     assert rational_from_json({"num": "-6", "den": 4}) == Fraction(-3, 2)
     with pytest.raises(ValueError):
         rational_from_json({"num": 1, "den": "0"})
+
+
+def test_integers_past_the_str_digit_limit_round_trip():
+    big = 52**3000  # 5 149 digits, past Python's default limit of 4 300
+    x = Fraction(big - 1, big)
+    assert rational_from_json(rational_as_json(x)) == x
+    element = AlgebraElement(2, {Permutation((2, 1)): big})
+    assert AlgebraElement.from_json(element.as_json()) == element
+    digits = "9" * 5000
+    assert rational_from_json({"num": f" -{digits} ", "den": 1}) == 1 - 10**5000
+    for tail in (".5", "e3", "x", "nan", "__9"):
+        with pytest.raises(ValueError):
+            rational_from_json({"num": digits + tail, "den": 1})

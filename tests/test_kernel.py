@@ -13,7 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topshuffle import (
+    AlgebraElement,
     FiniteGroup,
+    GAlgebraElement,
     GPermutation,
     Permutation,
     ShuffleSpec,
@@ -192,7 +194,8 @@ def reachable_names(fn):
 
 @pytest.mark.parametrize(
     "oracle",
-    [algebra._walk_tuples, algebra.brute_force_product, wreath.g_brute_force_product],
+    [algebra._walk_tuples, algebra.brute_force_product, wreath.g_brute_force_product,
+     algebra._brute_force_tally, wreath._g_brute_force_tally],
 )
 def test_oracle_never_reaches_the_closed_form(oracle):
     assert not reachable_names(oracle) & CLOSED_FORM
@@ -201,6 +204,85 @@ def test_oracle_never_reaches_the_closed_form(oracle):
 def test_oracle_guard_sees_the_closed_form_where_it_is_used():
     assert "expansion" in reachable_names(algebra.expansion_element)
     assert "_q_row" in reachable_names(wreath.g_expansion_element)
+    assert "expansion" in reachable_names(algebra._expansion_tally)
+    assert "_q_row" in reachable_names(wreath._g_expansion_tally)
+
+
+# The raw tallies that ``verify`` compares, decoded here on their own -----------
+
+
+def small_specs(n_max, k_max):
+    return [
+        ShuffleSpec(n, a)
+        for n in range(1, n_max + 1)
+        for k in range(1, k_max + 1)
+        for a in itertools.product(range(1, n + 1), repeat=k)
+    ]
+
+
+def faced_deck(raw):
+    """A raw faced deck, (positions by card, faces by card), as a deck."""
+    positions, faces = raw
+    deck = [None] * len(positions)
+    for card, (p, f) in enumerate(zip(positions, faces), start=1):
+        deck[p - 1] = (f, card)
+    return GPermutation(tuple(deck))
+
+
+def test_plain_raw_tallies_decode_to_their_elements():
+    for spec in small_specs(4, 3):
+        for raw, public in [
+            (algebra._brute_force_tally, brute_force_product),
+            (algebra._expansion_tally, algebra.expansion_element),
+        ]:
+            tally = raw(spec, algebra.DEFAULT_TUPLE_CAP)
+            assert 0 not in tally.values()
+            decoded = {Permutation(d): c for d, c in tally.items()}
+            assert decoded == public(spec).terms, (spec, raw)
+
+
+@pytest.mark.parametrize("order", [2, 3, 6])
+def test_faced_raw_tallies_decode_to_their_elements(order):
+    group = S3 if order == 6 else FiniteGroup.cyclic(order)
+    for spec in small_specs(3, 3):
+        if wreath.predicted_g_tuple_count(spec, group) > 20_000:
+            continue
+        for raw, public in [
+            (wreath._g_brute_force_tally, g_brute_force_product),
+            (wreath._g_expansion_tally, wreath.g_expansion_element),
+        ]:
+            tally = raw(spec, group, algebra.DEFAULT_TUPLE_CAP)
+            assert 0 not in tally.values()
+            decoded = {faced_deck(r): c for r, c in tally.items()}
+            assert decoded == public(spec, group).terms, (spec, raw)
+
+
+def test_elements_of_tallies_compare_without_building_decks():
+    spec = ShuffleSpec(4, (2, 1, 3))
+    oracle, expanded = brute_force_product(spec), algebra.expansion_element(spec)
+    assert oracle == expanded and len(oracle) == len(expanded) == 24
+    assert oracle._built is None and expanded._built is None
+    # Once one side is built, equality falls back to the checked terms.
+    assert oracle.terms and oracle._raw is None
+    assert oracle == expanded and expanded == oracle
+    assert oracle == AlgebraElement(4, dict(expanded.terms))
+    bumped = dict(algebra._expansion_tally(spec, algebra.DEFAULT_TUPLE_CAP))
+    bumped[next(iter(bumped))] += 1
+    wrong = AlgebraElement._of_tally((4,), bumped)
+    assert wrong != brute_force_product(spec) and wrong != oracle
+    assert AlgebraElement._of_tally((3,), {}) != AlgebraElement._of_tally((4,), {})
+
+
+def test_elements_of_tallies_build_through_the_checked_constructor():
+    bad = AlgebraElement._of_tally((3,), {(1, 1, 2): 1})
+    assert len(bad) == 1
+    with pytest.raises(ValueError, match="not a permutation"):
+        bad.terms
+    group = FiniteGroup.cyclic(2)
+    faced = GAlgebraElement._of_tally((2, group), {((1, 2), (0, 5)): 1})
+    assert faced.group is group
+    with pytest.raises(ValueError):
+        faced.terms
 
 
 # The oracle's deck list and its fold over distinct states ---------------------
