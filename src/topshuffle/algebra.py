@@ -17,11 +17,10 @@ fold shares no code with ``expansion``, ``expansion_element`` or
 ``wreath.g_expansion*``, so the oracle stays an independent check of the
 closed form.
 
-``brute_force_product`` and ``expansion_element`` wrap raw tallies, deck
-tuple to count (``_brute_force_tally``, ``_expansion_tally``), in an
-element whose terms go through the checked constructors when first read.
-Equality between two such elements compares the tallies, so the CLI's
-``verify`` builds deck objects only on a mismatch.
+An element stores only its raw tally, deck tuple to count, and decodes it
+through the checked constructors each time its terms are read.  ``==``,
+``len`` and products work on the tallies, so the CLI's ``verify`` builds
+deck objects only on a mismatch.
 
 All coefficients are exact arbitrary-precision integers.
 """
@@ -71,55 +70,51 @@ def shuffle_product(u: Sequence[int], v: Sequence[int]) -> list[Word]:
 class _Element:
     """Body shared by ``AlgebraElement`` and ``wreath.GAlgebraElement``.
 
-    A subclass supplies its constructor, ``_DECK`` (the deck class),
-    ``_decode`` (raw deck to deck), ``_sort_key`` and ``__repr__``; an
-    algebra with more than a deck size also overrides ``_MISMATCH`` and the
-    JSON header methods.
+    An element stores only its raw tally: raw deck to nonzero count, where
+    ``_encode`` turns a deck into its raw form and ``_decode`` turns it back
+    through the checked deck constructor.  A subclass supplies its
+    constructor, ``_DECK`` (the deck class), ``_encode``, ``_decode``,
+    ``_sort_key`` and ``__repr__``; an algebra with more than a deck size
+    also overrides ``_check``, ``_MISMATCH`` and the JSON header methods.
     """
 
-    # ``_built`` holds the checked terms; ``_raw``, the raw tally of an
-    # element from ``_of_tally`` whose terms have not been read yet.
-    __slots__ = ("n", "_space", "_built", "_raw")
+    __slots__ = ("n", "_space", "_raw")
     _MISMATCH = "deck sizes differ: {0.n} != {1.n}"
 
-    def _store(self, space: tuple, terms: Mapping, check=None) -> None:
+    def _store(self, space: tuple, terms: Mapping) -> None:
         """``space``: the constructor's arguments before ``terms``, n first."""
         n = space[0]
         if n < 1:
             raise ValueError("deck size must be at least 1")
-        pruned = {}
+        self.n, self._space, self._raw = n, space, {}
         for p, c in terms.items():
+            c = _integer(c)
             if c < 0:
                 raise ValueError("coefficients must be nonnegative")
-            if c == 0:
-                continue
-            if p.n != n:
-                raise ValueError(f"term of size {p.n} in an element of size {n}")
-            if check is not None:
-                check(p)
-            pruned[p] = c
-        self.n = n
-        self._space = space
-        self._built = pruned
-        self._raw = None
+            if c:
+                self._check(p)
+                self._raw[self._encode(p)] = c
 
     @classmethod
     def _of_tally(cls, space: tuple, tally: Mapping):
         """The element over ``space`` of a raw tally that the package built:
-        keys in the form ``_decode`` reads, no zero counts.  Its terms go
-        through the checked constructor when first read; until then ``len``
-        and ``==`` between two such elements work on the tallies."""
+        keys in the form ``_decode`` reads, no zero counts."""
         self = object.__new__(cls)
-        self.n, self._space, self._built, self._raw = space[0], space, None, tally
+        self.n, self._space, self._raw = space[0], space, tally
         return self
 
-    @property
-    def _terms(self) -> dict:
-        if self._built is None:
-            decode = self._decode
-            terms = {decode(r): c for r, c in self._raw.items()}
-            self._built, self._raw = type(self)(*self._space, terms)._built, None
-        return self._built
+    def _check(self, p) -> None:
+        if not isinstance(p, self._DECK) or p.n != self.n:
+            raise ValueError(f"{p!r} is not a {self._DECK.__name__} of size {self.n}")
+
+    def _decoded(self) -> dict:
+        """The terms, decoded and checked anew on every read."""
+        terms = {}
+        for r, c in self._raw.items():
+            p = self._decode(r)
+            self._check(p)
+            terms[p] = c
+        return terms
 
     def _require_same(self, other) -> None:
         if self._space != other._space:
@@ -127,57 +122,56 @@ class _Element:
 
     @property
     def terms(self) -> Mapping:
-        return MappingProxyType(self._terms)
+        return MappingProxyType(self._decoded())
 
     def coefficient(self, p) -> int:
-        return self._terms.get(p, 0)
+        if not isinstance(p, self._DECK):
+            return 0
+        return self._raw.get(self._encode(p), 0)
 
     @property
     def mass(self) -> int:
         """Sum of all coefficients (the number of contributing tuples)."""
-        return sum(self._terms.values())
+        return sum(self._raw.values())
 
     def sorted_terms(self) -> list:
-        return sorted(self._terms.items(), key=lambda item: self._sort_key(item[0]))
+        return sorted(self._decoded().items(), key=lambda item: self._sort_key(item[0]))
 
     def scale(self, c: int):
+        c = _integer(c)
         if c < 0:
             raise ValueError("coefficients must be nonnegative")
-        return type(self)(*self._space, {p: c * v for p, v in self._terms.items()})
+        return self._of_tally(self._space, {r: c * v for r, v in self._raw.items() if c})
 
     def __add__(self, other):
         self._require_same(other)
-        out = dict(self._terms)
-        for p, c in other._terms.items():
-            out[p] = out.get(p, 0) + c
-        return type(self)(*self._space, out)
+        out = Counter(self._raw)
+        out.update(other._raw)
+        return self._of_tally(self._space, out)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        if self._space != other._space:
-            return False
-        if self._raw is not None and other._raw is not None:
-            # One decoding, one-to-one, and no zero counts: the tallies are
-            # equal exactly when the terms are.  ``dict.__eq__`` runs in C,
-            # where ``Counter.__eq__`` loops over the keys in Python.
-            return dict.__eq__(self._raw, other._raw)
-        return self._terms == other._terms
+        # One encoding, one-to-one, and no zero counts: the tallies are equal
+        # exactly when the terms are.  ``dict.__eq__`` runs in C, where
+        # ``Counter.__eq__`` loops over the keys in Python.
+        return self._space == other._space and dict.__eq__(self._raw, other._raw)
 
     def __len__(self) -> int:
-        return len(self._built if self._raw is None else self._raw)
+        return len(self._raw)
 
-    def _convolve(self, other, cap: int, encode, compose_row, decode):
-        """Convolution product in a raw form where ``compose_row(r, rs)`` lists
-        ``r`` composed with each of ``rs``; capped at ``len(self) * len(other)``."""
+    def _convolve(self, other, cap: int, compose_row):
+        """Convolution product of the tallies, where ``compose_row(r, rs)``
+        lists raw ``r`` composed with each of ``rs``; capped at
+        ``len(self) * len(other)``."""
         self._require_same(other)
         _check_cap(len(self) * len(other), cap)
-        rs = [encode(q) for q in other._terms]
+        rs, cs = list(other._raw), list(other._raw.values())
         out: dict = {}
-        for p, cp in self._terms.items():
-            for r, cq in zip(compose_row(encode(p), rs), other._terms.values()):
+        for p, cp in self._raw.items():
+            for r, cq in zip(compose_row(p, rs), cs):
                 out[r] = out.get(r, 0) + cp * cq
-        return type(self)(*self._space, {decode(r): c for r, c in out.items()})
+        return self._of_tally(self._space, out)
 
     def as_json(self) -> dict:
         terms = [
@@ -214,6 +208,7 @@ class AlgebraElement(_Element):
 
     __slots__ = ()
     _DECK = Permutation
+    _encode = attrgetter("deck")
     _decode = Permutation
 
     def __init__(self, n: int, terms: Mapping[Permutation, int]):
@@ -227,7 +222,7 @@ class AlgebraElement(_Element):
         return multiply(self, other)
 
     def __repr__(self) -> str:
-        return f"AlgebraElement(n={self.n}, terms={len(self._terms)}, mass={self.mass})"
+        return f"AlgebraElement(n={self.n}, terms={len(self)}, mass={self.mass})"
 
 
 def _top_to_random_decks(a: int, n: int) -> list[tuple[int, ...]]:
@@ -240,10 +235,10 @@ def _top_to_random_decks(a: int, n: int) -> list[tuple[int, ...]]:
     return [d[:i] + (1,) + d[i:] for i in range(n) for d in rest]
 
 
-def _check_cap(required: int, cap: int) -> None:
+def _check_cap(required: int, cap: int, unit: str = "tuples") -> None:
     """Refuse up front, never truncate, when ``required`` exceeds ``cap``."""
     if required > cap:
-        raise CapExceeded(required, cap)
+        raise CapExceeded(required, cap, unit)
 
 
 def _check_term_count(n: int, sizes, cap: int, order: int = 1) -> None:
@@ -258,7 +253,7 @@ def top_to_random(a: int, n: int) -> AlgebraElement:
     if not 1 <= a <= n:
         raise ValueError(f"shuffle size {a} outside 1..{n}")
     _check_term_count(n, (a,), DEFAULT_TUPLE_CAP)
-    return AlgebraElement(n, {Permutation(d): 1 for d in _top_to_random_decks(a, n)})
+    return AlgebraElement._of_tally((n,), dict.fromkeys(_top_to_random_decks(a, n), 1))
 
 
 def multiply(
@@ -271,7 +266,7 @@ def multiply(
     def row(p, qs):
         return [_compose_decks(p, q) for q in qs]
 
-    return x._convolve(y, cap, attrgetter("deck"), row, Permutation)
+    return x._convolve(y, cap, row)
 
 
 def predicted_tuple_count(spec: ShuffleSpec) -> int:
@@ -309,22 +304,6 @@ def _getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
     return itemgetter(*indices)
 
 
-def _brute_force_tally(spec: ShuffleSpec, cap: int) -> Counter:
-    """``brute_force_product`` as a raw tally: deck tuple to the number of
-    factor-term tuples whose composite it is."""
-    _check_cap(predicted_tuple_count(spec), cap)
-    n = spec.n
-    # Each term as the getter of its deck: ``g(cur)`` composes ``cur`` with it.
-    getters = {
-        ai: [_getter([c - 1 for c in d]) for d in _top_to_random_decks(ai, n)]
-        for ai in set(spec.a)
-    }
-    factors = [getters[ai] for ai in spec.a]
-    return _walk_tuples(
-        tuple(range(1, n + 1)), factors, lambda cur, gs: [g(cur) for g in gs]
-    )
-
-
 def brute_force_product(
     spec: ShuffleSpec, cap: int = DEFAULT_TUPLE_CAP
 ) -> AlgebraElement:
@@ -334,7 +313,18 @@ def brute_force_product(
     decks in ``_walk_tuples``.  Refuses up front (never truncates) when the
     tuple count exceeds ``cap``.
     """
-    return AlgebraElement._of_tally((spec.n,), _brute_force_tally(spec, cap))
+    _check_cap(predicted_tuple_count(spec), cap)
+    n = spec.n
+    # Each term as the getter of its deck: ``g(cur)`` composes ``cur`` with it.
+    getters = {
+        ai: [_getter([c - 1 for c in d]) for d in _top_to_random_decks(ai, n)]
+        for ai in set(spec.a)
+    }
+    factors = [getters[ai] for ai in spec.a]
+    tally = _walk_tuples(
+        tuple(range(1, n + 1)), factors, lambda cur, gs: [g(cur) for g in gs]
+    )
+    return AlgebraElement._of_tally((n,), tally)
 
 
 def expansion(spec: ShuffleSpec) -> dict[int, int]:
@@ -345,8 +335,12 @@ def expansion(spec: ShuffleSpec) -> dict[int, int]:
     return {j: c for j in range(spec.j_min, spec.j_max + 1) if (c := row[j])}
 
 
-def _expansion_tally(spec: ShuffleSpec, cap: int) -> dict[tuple[int, ...], int]:
-    """``expansion_element`` as a raw tally: deck tuple to coefficient."""
+def expansion_element(
+    spec: ShuffleSpec, cap: int = DEFAULT_TUPLE_CAP
+) -> AlgebraElement:
+    """The expansion materialized as a single element, for comparison
+    against ``brute_force_product``.  Refuses up front when the shuffle
+    sums it adds up have more than ``cap`` terms in total."""
     counts = expansion(spec)
     _check_term_count(spec.n, counts, cap)
     terms: dict[tuple[int, ...], int] = {}
@@ -354,13 +348,4 @@ def _expansion_tally(spec: ShuffleSpec, cap: int) -> dict[tuple[int, ...], int]:
     for j, c in counts.items():
         for d in _top_to_random_decks(j, spec.n):
             terms[d] = get(d, 0) + c
-    return terms
-
-
-def expansion_element(
-    spec: ShuffleSpec, cap: int = DEFAULT_TUPLE_CAP
-) -> AlgebraElement:
-    """The expansion materialized as a single element, for comparison
-    against ``brute_force_product``.  Refuses up front when the shuffle
-    sums it adds up have more than ``cap`` terms in total."""
-    return AlgebraElement._of_tally((spec.n,), _expansion_tally(spec, cap))
+    return AlgebraElement._of_tally((spec.n,), terms)

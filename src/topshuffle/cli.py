@@ -214,8 +214,8 @@ def _cmd_verify(args):
     spec, cap, group = _spec(args), _cap(args), _group(args)
     oracle = _element_for(spec, group, cap, brute=True)
     expanded = _element_for(spec, group, cap, brute=False)
-    # Both elements still hold their raw tallies here, so a match is found
-    # without building a single deck object.
+    # Elements compare by their raw tallies, so a match is found without
+    # building a single deck object.
     if oracle == expanded:
         yield 0, {"match": True, "terms": len(oracle)}, "match"
         return

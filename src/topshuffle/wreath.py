@@ -11,21 +11,17 @@ regardless of the face (``factorization_count``).
 Groups are supplied as validated multiplication tables with element 0 the
 identity, so arbitrary finite groups (including nonabelian ones) work.
 
-``GAlgebraElement`` keeps only what is faced about it; its body is
+``GAlgebraElement`` keeps only what is faced about it: its raw tally is
+keyed by (positions by card, faces by card), and its body is
 ``algebra._Element``, shared with the plain ``AlgebraElement``.  The
 oracles ``g_brute_force_product`` and ``factorization_counts_by_enumeration``
 count tuples in the one fold ``algebra._walk_tuples``, which shares no
 code with ``expansion``, ``expansion_element`` or ``g_expansion*``.
-``g_brute_force_product`` and ``g_expansion_element`` wrap raw tallies,
-keyed by (positions by card, faces by card), in an element whose terms are
-built when first read; equality between two such elements compares the
-tallies, so the CLI's ``verify`` builds deck objects only on a mismatch.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from operator import getitem, itemgetter
@@ -119,9 +115,12 @@ class FiniteGroup:
 
     @classmethod
     def cyclic(cls, m: int) -> "FiniteGroup":
-        """Integers mod ``m`` under addition."""
+        """Integers mod ``m`` under addition; refused with ``CapExceeded``
+        before building when the ``m * m`` table cells exceed
+        ``DEFAULT_TUPLE_CAP``."""
         if m < 1:
             raise ValueError("order must be at least 1")
+        _check_cap(m * m, DEFAULT_TUPLE_CAP, "table cells")
         # A group by construction, so the table checks are skipped.  The rows
         # are rotations of one tuple and share its int objects.
         elements = tuple(range(m))
@@ -305,11 +304,16 @@ class GAlgebraElement(_Element):
 
     __slots__ = ()
     _DECK = GPermutation
+    _encode = staticmethod(_to_raw)
     _decode = staticmethod(_from_raw)
     _MISMATCH = "elements live in different algebras"
 
     def __init__(self, n: int, group: FiniteGroup, terms: Mapping[GPermutation, int]):
-        self._store((n, group), terms, lambda gp: _check_faces(gp, group))
+        self._store((n, group), terms)
+
+    def _check(self, gp: GPermutation) -> None:
+        super()._check(gp)
+        _check_faces(gp, self.group)
 
     @property
     def group(self) -> FiniteGroup:
@@ -331,7 +335,7 @@ class GAlgebraElement(_Element):
     def __repr__(self) -> str:
         return (
             f"GAlgebraElement(n={self.n}, order={self.group.order}, "
-            f"terms={len(self._terms)}, mass={self.mass})"
+            f"terms={len(self)}, mass={self.mass})"
         )
 
 
@@ -353,9 +357,8 @@ def hat_top_to_random(a: int, n: int, group: FiniteGroup) -> GAlgebraElement:
     if not 1 <= a <= n:
         raise ValueError(f"shuffle size {a} outside 1..{n}")
     _check_term_count(n, (a,), DEFAULT_TUPLE_CAP, group.order)
-    return GAlgebraElement(
-        n, group, {_from_raw(r): 1 for r in _hat_decks_raw(a, n, group.order)}
-    )
+    terms = dict.fromkeys(_hat_decks_raw(a, n, group.order), 1)
+    return GAlgebraElement._of_tally((n, group), terms)
 
 
 def g_multiply(
@@ -364,7 +367,7 @@ def g_multiply(
     """Convolution product in the faced-deck algebra.  Refuses up front when
     the ``len(x) * len(y)`` compositions exceed ``cap``."""
     row = partial(_g_compose_row, cayley=x.group.cayley)
-    return x._convolve(y, cap, _to_raw, row, _from_raw)
+    return x._convolve(y, cap, row)
 
 
 def factorization_count(l: int, g: int, group: FiniteGroup) -> int:
@@ -398,25 +401,19 @@ def predicted_g_tuple_count(spec: ShuffleSpec, group: FiniteGroup) -> int:
     return group.order**spec.total * predicted_tuple_count(spec)
 
 
-def _g_brute_force_tally(spec: ShuffleSpec, group: FiniteGroup, cap: int) -> Counter:
-    """``g_brute_force_product`` as a raw tally: raw faced deck to the number
-    of factor-term tuples whose composite it is."""
-    _check_cap(predicted_g_tuple_count(spec, group), cap)
-    n = spec.n
-    terms = {ai: list(_hat_decks_raw(ai, n, group.order)) for ai in set(spec.a)}
-    start = (tuple(range(1, n + 1)), (0,) * n)
-    row = partial(_g_compose_row, cayley=group.cayley)
-    return _walk_tuples(start, [terms[ai] for ai in spec.a], row)
-
-
 def g_brute_force_product(
     spec: ShuffleSpec, group: FiniteGroup, cap: int = DEFAULT_TUPLE_CAP
 ) -> GAlgebraElement:
     """Exact product of the spec's faced shuffle sums by exhaustive count of
     all term tuples, through the fold over distinct states in
     ``_walk_tuples``."""
-    tally = _g_brute_force_tally(spec, group, cap)
-    return GAlgebraElement._of_tally((spec.n, group), tally)
+    _check_cap(predicted_g_tuple_count(spec, group), cap)
+    n = spec.n
+    terms = {ai: list(_hat_decks_raw(ai, n, group.order)) for ai in set(spec.a)}
+    start = (tuple(range(1, n + 1)), (0,) * n)
+    row = partial(_g_compose_row, cayley=group.cayley)
+    tally = _walk_tuples(start, [terms[ai] for ai in spec.a], row)
+    return GAlgebraElement._of_tally((n, group), tally)
 
 
 def g_expansion(spec: ShuffleSpec, group: FiniteGroup) -> dict[int, int]:
@@ -428,8 +425,12 @@ def g_expansion(spec: ShuffleSpec, group: FiniteGroup) -> dict[int, int]:
     }
 
 
-def _g_expansion_tally(spec: ShuffleSpec, group: FiniteGroup, cap: int) -> dict:
-    """``g_expansion_element`` as a raw tally: raw faced deck to coefficient."""
+def g_expansion_element(
+    spec: ShuffleSpec, group: FiniteGroup, cap: int = DEFAULT_TUPLE_CAP
+) -> GAlgebraElement:
+    """The faced expansion materialized as one element, for comparison
+    against ``g_brute_force_product``.  Refuses up front when the faced
+    shuffle sums it adds up have more than ``cap`` terms in total."""
     counts = g_expansion(spec, group)
     _check_term_count(spec.n, counts, cap, group.order)
     terms: dict = {}
@@ -437,17 +438,7 @@ def _g_expansion_tally(spec: ShuffleSpec, group: FiniteGroup, cap: int) -> dict:
     for c, coeff in counts.items():
         for raw in _hat_decks_raw(c, spec.n, group.order):
             terms[raw] = get(raw, 0) + coeff
-    return terms
-
-
-def g_expansion_element(
-    spec: ShuffleSpec, group: FiniteGroup, cap: int = DEFAULT_TUPLE_CAP
-) -> GAlgebraElement:
-    """The faced expansion materialized as one element, for comparison
-    against ``g_brute_force_product``.  Refuses up front when the faced
-    shuffle sums it adds up have more than ``cap`` terms in total."""
-    tally = _g_expansion_tally(spec, group, cap)
-    return GAlgebraElement._of_tally((spec.n, group), tally)
+    return GAlgebraElement._of_tally((spec.n, group), terms)
 
 
 def is_hat_term(target: GPermutation, c: int, group: FiniteGroup) -> bool:

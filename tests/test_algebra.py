@@ -10,6 +10,7 @@ from topshuffle import (
     CapExceeded,
     FiniteGroup,
     GAlgebraElement,
+    GPermutation,
     Permutation,
     ShuffleSpec,
     algebra,
@@ -331,3 +332,38 @@ def test_element_from_json_refuses_non_integer_coefficients(cls, element):
     for coeff in ("3", 3, 3.0):
         loaded = cls.from_json({**data, "terms": [{"deck": deck, "coeff": coeff}]})
         assert loaded.coefficient(cls._DECK.from_json(deck)) == 3
+
+
+def with_terms(element, terms):
+    """An element over ``element``'s space, built by the public constructor."""
+    return type(element)(*element._space, terms)
+
+
+@pytest.mark.parametrize("cls, element", ELEMENTS)
+def test_element_coefficients_are_integers(cls, element):
+    deck = next(iter(element.terms))
+    for coeff in (1.5, 2.5, True, "2", None):
+        with pytest.raises(ValueError):
+            with_terms(element, {deck: coeff})
+    for factor in (0.5, True, "2"):
+        with pytest.raises(ValueError):
+            element.scale(factor)
+    two = with_terms(element, {deck: 2.0})
+    assert type(two.coefficient(deck)) is int and two.coefficient(deck) == 2
+    assert two.as_json()["terms"] == [{"deck": deck.as_json(), "coeff": "2"}]
+    assert element.scale(2.0) == element.scale(2) == element + element
+
+
+@pytest.mark.parametrize("cls, element", ELEMENTS)
+def test_decks_outside_the_algebra_have_coefficient_0_and_are_refused(cls, element):
+    # Both elements have size 2 and hold each size-2 identity deck once.
+    for deck in (Permutation((1, 2)), GPermutation.identity(2),
+                 Permutation((1, 2, 3)), GPermutation.identity(3)):
+        inside = isinstance(deck, cls._DECK) and deck.n == element.n
+        assert element.coefficient(deck) == (1 if inside else 0), deck
+        if not inside:
+            with pytest.raises(ValueError):
+                with_terms(element, {deck: 1})
+    zero = element.scale(0)
+    assert len(zero) == 0 and zero.mass == 0 and zero.as_json()["terms"] == []
+    assert zero == with_terms(element, {})

@@ -20,7 +20,7 @@ from topshuffle import (
     brute_force_product,
     g_brute_force_product,
 )
-from topshuffle import cli
+from topshuffle import algebra, cli
 from topshuffle.cli import ENV_CAP, MAX_DIGITS, build_parser, run
 from topshuffle.permutations import _int_str
 
@@ -41,6 +41,15 @@ def test_expand_with_cyclic_group(capsys):
     code, out, _ = run_cli(capsys, "expand", "--n", "2", "--a", "1,1", "--group", "cyclic:2")
     assert code == 0
     assert json.loads(out) == {"1": "2", "2": "1"}
+
+
+def test_cyclic_group_past_the_cap_exits_2(capsys):
+    # The smallest refused order, so that a missing check costs tens of MB.
+    m = math.isqrt(algebra.DEFAULT_TUPLE_CAP) + 1
+    argv = ["expand", "--n", "2", "--a", "1", "--group"]
+    code, out, err = run_cli(capsys, *argv, f"cyclic:{m}")
+    assert code == 2 and out == "" and "table cells" in err
+    assert run_cli(capsys, *argv, "cyclic:2000")[0] == 0
 
 
 def test_expand_text_format(capsys):

@@ -194,8 +194,7 @@ def reachable_names(fn):
 
 @pytest.mark.parametrize(
     "oracle",
-    [algebra._walk_tuples, algebra.brute_force_product, wreath.g_brute_force_product,
-     algebra._brute_force_tally, wreath._g_brute_force_tally],
+    [algebra._walk_tuples, algebra.brute_force_product, wreath.g_brute_force_product],
 )
 def test_oracle_never_reaches_the_closed_form(oracle):
     assert not reachable_names(oracle) & CLOSED_FORM
@@ -204,8 +203,6 @@ def test_oracle_never_reaches_the_closed_form(oracle):
 def test_oracle_guard_sees_the_closed_form_where_it_is_used():
     assert "expansion" in reachable_names(algebra.expansion_element)
     assert "_q_row" in reachable_names(wreath.g_expansion_element)
-    assert "expansion" in reachable_names(algebra._expansion_tally)
-    assert "_q_row" in reachable_names(wreath._g_expansion_tally)
 
 
 # The raw tallies that ``verify`` compares, decoded here on their own -----------
@@ -231,14 +228,12 @@ def faced_deck(raw):
 
 def test_plain_raw_tallies_decode_to_their_elements():
     for spec in small_specs(4, 3):
-        for raw, public in [
-            (algebra._brute_force_tally, brute_force_product),
-            (algebra._expansion_tally, algebra.expansion_element),
-        ]:
-            tally = raw(spec, algebra.DEFAULT_TUPLE_CAP)
-            assert 0 not in tally.values()
-            decoded = {Permutation(d): c for d, c in tally.items()}
-            assert decoded == public(spec).terms, (spec, raw)
+        for public in [brute_force_product, algebra.expansion_element]:
+            element = public(spec)
+            assert 0 not in element._raw.values()
+            decoded = {Permutation(d): c for d, c in element._raw.items()}
+            assert decoded == element.terms, (spec, public)
+            assert AlgebraElement(spec.n, element.terms) == element
 
 
 @pytest.mark.parametrize("order", [2, 3, 6])
@@ -247,26 +242,40 @@ def test_faced_raw_tallies_decode_to_their_elements(order):
     for spec in small_specs(3, 3):
         if wreath.predicted_g_tuple_count(spec, group) > 20_000:
             continue
-        for raw, public in [
-            (wreath._g_brute_force_tally, g_brute_force_product),
-            (wreath._g_expansion_tally, wreath.g_expansion_element),
-        ]:
-            tally = raw(spec, group, algebra.DEFAULT_TUPLE_CAP)
-            assert 0 not in tally.values()
-            decoded = {faced_deck(r): c for r, c in tally.items()}
-            assert decoded == public(spec, group).terms, (spec, raw)
+        for public in [g_brute_force_product, wreath.g_expansion_element]:
+            element = public(spec, group)
+            assert 0 not in element._raw.values()
+            decoded = {faced_deck(r): c for r, c in element._raw.items()}
+            assert decoded == element.terms, (spec, public)
+            assert GAlgebraElement(spec.n, group, element.terms) == element
 
 
-def test_elements_of_tallies_compare_without_building_decks():
-    spec = ShuffleSpec(4, (2, 1, 3))
+def test_elements_of_tallies_compare_without_building_decks(monkeypatch):
+    spec, group = ShuffleSpec(4, (2, 1, 3)), FiniteGroup.cyclic(2)
+    faced_spec = ShuffleSpec(3, (1, 2))
+    # The identity deck is a term of every top-to-random sum, so its
+    # coefficient in a product is the sum of the expansion's coefficients.
+    plain_id, faced_id = Permutation((1, 2, 3, 4)), GPermutation.identity(3)
+    plain_want = sum(expansion(spec).values())
+    faced_want = sum(wreath.g_expansion(faced_spec, group).values())
+
+    def no_deck(self):
+        raise AssertionError("a deck object was built")
+
+    monkeypatch.setattr(Permutation, "__post_init__", no_deck)
+    monkeypatch.setattr(GPermutation, "__post_init__", no_deck)
     oracle, expanded = brute_force_product(spec), algebra.expansion_element(spec)
-    assert oracle == expanded and len(oracle) == len(expanded) == 24
-    assert oracle._built is None and expanded._built is None
-    # Once one side is built, equality falls back to the checked terms.
-    assert oracle.terms and oracle._raw is None
     assert oracle == expanded and expanded == oracle
-    assert oracle == AlgebraElement(4, dict(expanded.terms))
-    bumped = dict(algebra._expansion_tally(spec, algebra.DEFAULT_TUPLE_CAP))
+    assert len(oracle) == len(expanded) == 24
+    assert oracle.mass == expanded.mass == algebra.predicted_tuple_count(spec)
+    assert oracle.coefficient(plain_id) == expanded.coefficient(plain_id) == plain_want
+    g_oracle = g_brute_force_product(faced_spec, group)
+    g_expanded = wreath.g_expansion_element(faced_spec, group)
+    assert g_oracle == g_expanded and len(g_oracle) == len(g_expanded)
+    assert g_oracle.mass == wreath.predicted_g_tuple_count(faced_spec, group)
+    assert g_oracle.coefficient(faced_id) == faced_want
+    assert g_expanded.coefficient(faced_id) == faced_want
+    bumped = dict(expanded._raw)
     bumped[next(iter(bumped))] += 1
     wrong = AlgebraElement._of_tally((4,), bumped)
     assert wrong != brute_force_product(spec) and wrong != oracle

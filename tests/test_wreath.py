@@ -1,6 +1,7 @@
 """Faced decks, group tables, and the scaled expansion."""
 
 import itertools
+import math
 import time
 
 import pytest
@@ -30,6 +31,7 @@ from topshuffle import (
     is_hat_term,
     top_to_random,
 )
+from topshuffle.algebra import DEFAULT_TUPLE_CAP
 from topshuffle.wreath import predicted_g_tuple_count
 
 Z1 = FiniteGroup.cyclic(1)
@@ -103,6 +105,16 @@ def test_large_cyclic_group_is_built_fast():
     assert time.perf_counter() - start < 1.0
     assert group.order == 2000
     assert group.mul(1999, 3) == 2 and group.inv(7) == 1993 and group.inv(0) == 0
+
+
+def test_cyclic_group_past_the_cap_is_refused_before_building():
+    # The smallest order whose table has more cells than the cap: refused
+    # before its rows are built.
+    m = math.isqrt(DEFAULT_TUPLE_CAP) + 1
+    with pytest.raises(CapExceeded) as refused:
+        FiniteGroup.cyclic(m)
+    assert refused.value.required == m * m > DEFAULT_TUPLE_CAP
+    assert refused.value.cap == DEFAULT_TUPLE_CAP
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 12])
