@@ -11,11 +11,12 @@ factors: each distinct deck reached so far, with its number of tuple
 prefixes, is composed once with every term of the next factor.
 
 This module also holds what the plain and faced (``wreath``) algebras
-share: the element body ``_Element`` and the fold ``_walk_tuples`` behind
-both ``brute_force_product`` and ``wreath.g_brute_force_product``.  The
-fold shares no code with ``expansion``, ``expansion_element`` or
-``wreath.g_expansion*``, so the oracle stays an independent check of the
-closed form.
+share: the element body ``_Element``, the body ``_shuffle_sums`` behind
+every builder of shuffle sums, and the fold ``_walk_tuples``, the one
+convolution kernel behind both oracles and both ``multiply`` and
+``wreath.g_multiply``.  The fold shares no code with ``expansion``,
+``expansion_element`` or ``wreath.g_expansion*``, so the oracle stays an
+independent check of the closed form.
 
 An element stores only its raw tally, deck tuple to count, and decodes it
 through the checked constructors each time its terms are read.  ``==``,
@@ -38,7 +39,6 @@ from .coefficients import ShuffleSpec, _q_row
 from .errors import CapExceeded
 from .permutations import (
     Permutation,
-    _compose_decks,
     _int_str,
     _integer,
     _json_integer,
@@ -83,7 +83,8 @@ class _Element:
 
     def _store(self, space: tuple, terms: Mapping) -> None:
         """``space``: the constructor's arguments before ``terms``, n first."""
-        n = space[0]
+        n = _integer(space[0])
+        space = (n, *space[1:])
         if n < 1:
             raise ValueError("deck size must be at least 1")
         self.n, self._space, self._raw = n, space, {}
@@ -117,6 +118,8 @@ class _Element:
         return terms
 
     def _require_same(self, other) -> None:
+        if type(other) is not type(self):
+            raise ValueError(f"expected {type(self).__name__}, got {other!r}")
         if self._space != other._space:
             raise ValueError(self._MISMATCH.format(self, other))
 
@@ -159,19 +162,6 @@ class _Element:
 
     def __len__(self) -> int:
         return len(self._raw)
-
-    def _convolve(self, other, cap: int, compose_row):
-        """Convolution product of the tallies, where ``compose_row(r, rs)``
-        lists raw ``r`` composed with each of ``rs``; capped at
-        ``len(self) * len(other)``."""
-        self._require_same(other)
-        _check_cap(len(self) * len(other), cap)
-        rs, cs = list(other._raw), list(other._raw.values())
-        out: dict = {}
-        for p, cp in self._raw.items():
-            for r, cq in zip(compose_row(p, rs), cs):
-                out[r] = out.get(r, 0) + cp * cq
-        return self._of_tally(self._space, out)
 
     def as_json(self) -> dict:
         terms = [
@@ -235,25 +225,32 @@ def _top_to_random_decks(a: int, n: int) -> list[tuple[int, ...]]:
     return [d[:i] + (1,) + d[i:] for i in range(n) for d in rest]
 
 
-def _check_cap(required: int, cap: int, unit: str = "tuples") -> None:
+def _check_cap(required: int, cap: int, unit: str) -> None:
     """Refuse up front, never truncate, when ``required`` exceeds ``cap``."""
     if required > cap:
         raise CapExceeded(required, cap, unit)
 
 
-def _check_term_count(n: int, sizes, cap: int, order: int = 1) -> None:
-    """Refuse up front to materialize the ``P(n, j) * order**j`` terms of
-    every shuffle sum of size ``j`` in ``sizes`` when they exceed ``cap``."""
-    _check_cap(sum(math.perm(n, j) * order**j for j in sizes), cap)
+def _shuffle_sums(n: int, counts: Mapping[int, int], decks, cap: int, order: int = 1):
+    """Raw tally of ``sum_j counts[j] * (size-j shuffle sum)``, where
+    ``decks(j, n)`` lists the ``P(n, j) * order**j`` raw terms of the size-j
+    sum.  Refuses up front when they number more than ``cap`` in total."""
+    _check_cap(sum(math.perm(n, j) * order**j for j in counts), cap, "terms")
+    tally: dict = {}
+    get = tally.get
+    for j, c in counts.items():
+        for d in decks(j, n):
+            tally[d] = get(d, 0) + c
+    return tally
 
 
 def top_to_random(a: int, n: int) -> AlgebraElement:
     """Sum of all P(n, a) decks reachable by reinserting cards ``1..a``;
     refused with ``CapExceeded`` above ``DEFAULT_TUPLE_CAP`` terms."""
-    if not 1 <= a <= n:
-        raise ValueError(f"shuffle size {a} outside 1..{n}")
-    _check_term_count(n, (a,), DEFAULT_TUPLE_CAP)
-    return AlgebraElement._of_tally((n,), dict.fromkeys(_top_to_random_decks(a, n), 1))
+    spec = ShuffleSpec(n, (a,))
+    n, a = spec.n, spec.a[0]
+    tally = _shuffle_sums(n, {a: 1}, _top_to_random_decks, DEFAULT_TUPLE_CAP)
+    return AlgebraElement._of_tally((n,), tally)
 
 
 def multiply(
@@ -262,11 +259,10 @@ def multiply(
     """Convolution product: coefficient of ``r`` is the sum of
     ``x[p] * y[q]`` over all ``p, q`` with ``compose(p, q) == r``.  Refuses
     up front when the ``len(x) * len(y)`` compositions exceed ``cap``."""
-
-    def row(p, qs):
-        return [_compose_decks(p, q) for q in qs]
-
-    return x._convolve(y, cap, row)
+    x._require_same(y)
+    _check_cap(len(x) * len(y), cap, "compositions")
+    factor = (list(map(_getter, y._raw)), list(y._raw.values()))
+    return AlgebraElement._of_tally(x._space, _walk_tuples(x._raw, [factor], _apply))
 
 
 def predicted_tuple_count(spec: ShuffleSpec) -> int:
@@ -275,19 +271,23 @@ def predicted_tuple_count(spec: ShuffleSpec) -> int:
     return math.prod(math.perm(spec.n, ai) for ai in spec.a)
 
 
-def _walk_tuples(start, factors: list, compose_row) -> Counter:
-    """Tally the left-to-right composite of every tuple of factor terms.
+def _walk_tuples(tally: Mapping, factors: list, compose_row) -> Mapping:
+    """Fold the raw tally through the factors, each ``(terms, counts)`` with
+    ``counts`` None when every term's count is 1.
 
-    ``tally`` maps each distinct state reached by the tuple prefixes so far
-    to their number; ``compose_row(state, factor)`` lists ``state`` composed
-    with each term of ``factor``, once per state."""
-    tally = Counter({start: 1})
-    for factor in factors:
+    ``compose_row(state, terms)`` lists ``state`` composed with each term,
+    once per distinct state, and each composite gains the state's count
+    times the term's.  From ``{start: 1}`` this tallies the left-to-right
+    composite of every tuple of factor terms, by its number of tuples."""
+    for terms, counts in factors:
         nxt: Counter = Counter()
         get = nxt.get
         for state, count in tally.items():
-            row = compose_row(state, factor)
-            if count == 1:
+            row = compose_row(state, terms)
+            if counts is not None:
+                for s, c in zip(row, counts):
+                    nxt[s] = get(s, 0) + count * c
+            elif count == 1:
                 nxt.update(row)
             else:
                 for s in row:
@@ -296,12 +296,17 @@ def _walk_tuples(start, factors: list, compose_row) -> Counter:
     return tally
 
 
-def _getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """``itemgetter(*indices)``, which returns a tuple even for one index."""
-    if len(indices) == 1:
-        (i,) = indices
-        return lambda seq: (seq[i],)
-    return itemgetter(*indices)
+def _getter(deck: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """Composes a raw deck with ``deck``: ``itemgetter`` of its 0-based
+    indices, which returns a tuple even for a one-card deck."""
+    if len(deck) == 1:
+        return lambda seq: (seq[0],)
+    return itemgetter(*[c - 1 for c in deck])
+
+
+def _apply(cur, getters: list) -> list:
+    """``cur`` composed with each deck, given as its ``_getter``."""
+    return [g(cur) for g in getters]
 
 
 def brute_force_product(
@@ -313,17 +318,13 @@ def brute_force_product(
     decks in ``_walk_tuples``.  Refuses up front (never truncates) when the
     tuple count exceeds ``cap``.
     """
-    _check_cap(predicted_tuple_count(spec), cap)
+    _check_cap(predicted_tuple_count(spec), cap, "tuples")
     n = spec.n
-    # Each term as the getter of its deck: ``g(cur)`` composes ``cur`` with it.
     getters = {
-        ai: [_getter([c - 1 for c in d]) for d in _top_to_random_decks(ai, n)]
-        for ai in set(spec.a)
+        ai: list(map(_getter, _top_to_random_decks(ai, n))) for ai in set(spec.a)
     }
-    factors = [getters[ai] for ai in spec.a]
-    tally = _walk_tuples(
-        tuple(range(1, n + 1)), factors, lambda cur, gs: [g(cur) for g in gs]
-    )
+    factors = [(getters[ai], None) for ai in spec.a]
+    tally = _walk_tuples({tuple(range(1, n + 1)): 1}, factors, _apply)
     return AlgebraElement._of_tally((n,), tally)
 
 
@@ -341,11 +342,5 @@ def expansion_element(
     """The expansion materialized as a single element, for comparison
     against ``brute_force_product``.  Refuses up front when the shuffle
     sums it adds up have more than ``cap`` terms in total."""
-    counts = expansion(spec)
-    _check_term_count(spec.n, counts, cap)
-    terms: dict[tuple[int, ...], int] = {}
-    get = terms.get
-    for j, c in counts.items():
-        for d in _top_to_random_decks(j, spec.n):
-            terms[d] = get(d, 0) + c
-    return AlgebraElement._of_tally((spec.n,), terms)
+    tally = _shuffle_sums(spec.n, expansion(spec), _top_to_random_decks, cap)
+    return AlgebraElement._of_tally((spec.n,), tally)

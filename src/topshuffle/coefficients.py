@@ -161,6 +161,7 @@ def anchor_tuples(spec: ShuffleSpec, j: int) -> Iterator[tuple[int, ...]]:
 def q_cardinality(spec: ShuffleSpec, j: int) -> int:
     """Number of ``j``-block round-partitions for this shuffle sequence;
     0 outside the reachable range ``[max(a), min(sum(a), n)]``."""
+    j = _integer(j)
     if j < spec.j_min or j > spec.j_max:
         return 0
     return _q_count(spec.a, j)

@@ -2,15 +2,13 @@
 
 
 class CapExceeded(RuntimeError):
-    """An exhaustive enumeration would visit more tuples than allowed.
+    """Building or counting something would take more units than allowed.
 
-    Raised up front, before any work is done; results are never silently
-    truncated.
+    ``unit`` names what ``required`` and ``cap`` count: terms, compositions,
+    tuples, table cells or recurrence cells.  Raised up front, before any
+    work is done; results are never silently truncated.
     """
 
-    def __init__(self, required: int, cap: int, unit: str = "tuples"):
-        super().__init__(
-            f"enumeration needs {required} {unit}, above the cap of {cap}"
-        )
-        self.required = required
-        self.cap = cap
+    def __init__(self, required: int, cap: int, unit: str):
+        super().__init__(f"{required} {unit} needed, above the cap of {cap}")
+        self.required, self.cap, self.unit = required, cap, unit

@@ -13,10 +13,12 @@ identity, so arbitrary finite groups (including nonabelian ones) work.
 
 ``GAlgebraElement`` keeps only what is faced about it: its raw tally is
 keyed by (positions by card, faces by card), and its body is
-``algebra._Element``, shared with the plain ``AlgebraElement``.  The
+``algebra._Element``, shared with the plain ``AlgebraElement``.  Its shuffle
+sums are built by ``algebra._shuffle_sums`` from the faced deck list.  The
 oracles ``g_brute_force_product`` and ``factorization_counts_by_enumeration``
-count tuples in the one fold ``algebra._walk_tuples``, which shares no
-code with ``expansion``, ``expansion_element`` or ``g_expansion*``.
+count tuples, and ``g_multiply`` convolves, in the one fold
+``algebra._walk_tuples``, which shares no code with ``expansion``,
+``expansion_element`` or ``g_expansion*``.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .algebra import (
     AlgebraElement,
     _Element,
     _check_cap,
-    _check_term_count,
     _getter,
+    _shuffle_sums,
     _top_to_random_decks,
     _walk_tuples,
     expansion,
@@ -283,7 +285,7 @@ def _g_compose_row(s, terms, cayley) -> list:
     """``s`` composed with each raw term: one getter built from ``s``'s
     positions reads every term's positions and faces."""
     spos, sface = s
-    g = _getter([p - 1 for p in spos])
+    g = _getter(spos)
     rows = [cayley[f] for f in sface]
     return [(g(tpos), tuple(map(getitem, rows, g(tface)))) for tpos, tface in terms]
 
@@ -354,11 +356,10 @@ def hat_top_to_random(a: int, n: int, group: FiniteGroup) -> GAlgebraElement:
     of their faces spun independently; untouched cards keep the identity
     face.  Has ``order**a * P(n, a)`` terms, all with coefficient 1;
     refused with ``CapExceeded`` above ``DEFAULT_TUPLE_CAP`` of them."""
-    if not 1 <= a <= n:
-        raise ValueError(f"shuffle size {a} outside 1..{n}")
-    _check_term_count(n, (a,), DEFAULT_TUPLE_CAP, group.order)
-    terms = dict.fromkeys(_hat_decks_raw(a, n, group.order), 1)
-    return GAlgebraElement._of_tally((n, group), terms)
+    spec, order = ShuffleSpec(n, (a,)), group.order
+    decks = partial(_hat_decks_raw, order=order)
+    tally = _shuffle_sums(spec.n, {spec.a[0]: 1}, decks, DEFAULT_TUPLE_CAP, order)
+    return GAlgebraElement._of_tally((spec.n, group), tally)
 
 
 def g_multiply(
@@ -366,8 +367,11 @@ def g_multiply(
 ) -> GAlgebraElement:
     """Convolution product in the faced-deck algebra.  Refuses up front when
     the ``len(x) * len(y)`` compositions exceed ``cap``."""
+    x._require_same(y)
+    _check_cap(len(x) * len(y), cap, "compositions")
     row = partial(_g_compose_row, cayley=x.group.cayley)
-    return x._convolve(y, cap, row)
+    tally = _walk_tuples(x._raw, [(list(y._raw), list(y._raw.values()))], row)
+    return GAlgebraElement._of_tally(x._space, tally)
 
 
 def factorization_count(l: int, g: int, group: FiniteGroup) -> int:
@@ -387,11 +391,10 @@ def factorization_counts_by_enumeration(
     the independent check of ``factorization_count``."""
     if l < 1:
         raise ValueError("tuple length must be at least 1")
-    _check_cap(group.order**l, cap)
+    _check_cap(group.order**l, cap, "tuples")
     cayley = group.cayley
-    tally = _walk_tuples(
-        0, [range(group.order)] * l, lambda acc, f: [cayley[acc][x] for x in f]
-    )
+    factors = [(range(group.order), None)] * l
+    tally = _walk_tuples({0: 1}, factors, lambda acc, f: [cayley[acc][x] for x in f])
     return tuple(tally[g] for g in range(group.order))
 
 
@@ -407,12 +410,12 @@ def g_brute_force_product(
     """Exact product of the spec's faced shuffle sums by exhaustive count of
     all term tuples, through the fold over distinct states in
     ``_walk_tuples``."""
-    _check_cap(predicted_g_tuple_count(spec, group), cap)
+    _check_cap(predicted_g_tuple_count(spec, group), cap, "tuples")
     n = spec.n
     terms = {ai: list(_hat_decks_raw(ai, n, group.order)) for ai in set(spec.a)}
-    start = (tuple(range(1, n + 1)), (0,) * n)
+    start = {(tuple(range(1, n + 1)), (0,) * n): 1}
     row = partial(_g_compose_row, cayley=group.cayley)
-    tally = _walk_tuples(start, [terms[ai] for ai in spec.a], row)
+    tally = _walk_tuples(start, [(terms[ai], None) for ai in spec.a], row)
     return GAlgebraElement._of_tally((n, group), tally)
 
 
@@ -431,14 +434,9 @@ def g_expansion_element(
     """The faced expansion materialized as one element, for comparison
     against ``g_brute_force_product``.  Refuses up front when the faced
     shuffle sums it adds up have more than ``cap`` terms in total."""
-    counts = g_expansion(spec, group)
-    _check_term_count(spec.n, counts, cap, group.order)
-    terms: dict = {}
-    get = terms.get
-    for c, coeff in counts.items():
-        for raw in _hat_decks_raw(c, spec.n, group.order):
-            terms[raw] = get(raw, 0) + coeff
-    return GAlgebraElement._of_tally((spec.n, group), terms)
+    decks = partial(_hat_decks_raw, order=group.order)
+    tally = _shuffle_sums(spec.n, g_expansion(spec, group), decks, cap, group.order)
+    return GAlgebraElement._of_tally((spec.n, group), tally)
 
 
 def is_hat_term(target: GPermutation, c: int, group: FiniteGroup) -> bool:
@@ -473,12 +471,12 @@ def bar_element(
 def bar_lift(x, group: FiniteGroup, cap: int = DEFAULT_TUPLE_CAP) -> GAlgebraElement:
     """Face-spin every term of a plain element, keeping its coefficients.
     Refuses up front when the ``len(x) * order**n`` terms exceed ``cap``."""
-    _check_cap(len(x) * group.order**x.n, cap)
-    terms: dict[GPermutation, int] = {}
-    for p, c in x.terms.items():
-        for faces in itertools.product(range(group.order), repeat=p.n):
-            terms[GPermutation(tuple(zip(faces, p.deck)))] = c
-    return GAlgebraElement(x.n, group, terms)
+    if not isinstance(x, AlgebraElement):
+        raise ValueError(f"{x!r} is not an AlgebraElement")
+    _check_cap(len(x) * group.order**x.n, cap, "terms")
+    spins = partial(itertools.product, range(group.order), repeat=x.n)
+    terms = {(_inverse_deck(d), f): c for d, c in x._raw.items() for f in spins()}
+    return GAlgebraElement._of_tally((x.n, group), terms)
 
 
 def bar_lift_expansion(
@@ -488,11 +486,13 @@ def bar_lift_expansion(
     coefficient picks up the factor ``(order**(k-1))**n``, since each of
     the ``n`` final faces factors into ``k`` touches in ``order**(k-1)``
     ways."""
+    k, n = _integer(k), _integer(n)
     if k < 1:
         raise ValueError("number of factors must be at least 1")
     if n < 1:
         raise ValueError("deck size must be at least 1")
-    if any(c < 0 for c in base_coefficients.values()):
+    base = {r: _integer(c) for r, c in base_coefficients.items()}
+    if any(c < 0 for c in base.values()):
         raise ValueError("base coefficients must be nonnegative")
     factor = (group.order ** (k - 1)) ** n
-    return {r: c * factor for r, c in base_coefficients.items()}
+    return {r: c * factor for r, c in base.items()}

@@ -1,0 +1,201 @@
+"""Bad input is refused at the public boundary with ``ValueError``, and every
+cap names the unit it counts."""
+
+import pytest
+
+from topshuffle import (
+    AlgebraElement,
+    CapExceeded,
+    FiniteGroup,
+    GAlgebraElement,
+    GPermutation,
+    Injection,
+    SegmentedPartition,
+    ShuffleSpec,
+    bar_lift,
+    bar_lift_expansion,
+    bell,
+    brute_force_product,
+    cli,
+    expansion_element,
+    factorization_count,
+    factorization_counts_by_enumeration,
+    g_brute_force_product,
+    g_multiply,
+    hat_top_to_random,
+    identity,
+    multiply,
+    q_cardinality,
+    stirling2,
+    top_to_random,
+)
+from topshuffle.algebra import DEFAULT_TUPLE_CAP
+from topshuffle.coefficients import STIRLING_CELL_CAP
+from topshuffle.wreath import g_expansion_element
+
+Z2 = FiniteGroup.cyclic(2)
+Z3 = FiniteGroup.cyclic(3)
+S3 = FiniteGroup.symmetric_3()
+
+
+# Values are read through the integer check, never coerced ------------------------
+
+
+def test_element_sizes_are_read_as_integers():
+    x = AlgebraElement(2.0, {identity(2): 1})
+    assert x.as_json()["n"] == 2 and type(x.as_json()["n"]) is int
+    assert x == AlgebraElement(2, {identity(2): 1})
+    for bad in [True, 1.5, "2"]:
+        with pytest.raises(ValueError, match="not an integer"):
+            AlgebraElement(bad, {})
+        with pytest.raises(ValueError, match="not an integer"):
+            GAlgebraElement(bad, Z2, {})
+
+
+def test_shuffle_sums_check_their_size_and_deck_size():
+    assert top_to_random(2, 2.0) == top_to_random(2, 2)
+    assert top_to_random(2.0, 3) == top_to_random(2, 3)
+    assert hat_top_to_random(1, 2.0, Z2) == hat_top_to_random(1, 2, Z2)
+    for a, n in [(True, 2), (1.5, 3), (2, 2.5), (1, True), (0, 2), (3, 2), (1, 0)]:
+        with pytest.raises(ValueError):
+            top_to_random(a, n)
+        with pytest.raises(ValueError):
+            hat_top_to_random(a, n, Z2)
+
+
+def test_elements_of_the_other_algebra_are_refused():
+    plain, faced = top_to_random(1, 2), hat_top_to_random(1, 2, Z2)
+    for combine in [
+        lambda: multiply(plain, faced),
+        lambda: g_multiply(faced, plain),
+        lambda: plain + faced,
+        lambda: faced + plain,
+    ]:
+        with pytest.raises(ValueError, match="expected") as err:
+            combine()
+        assert "deck sizes differ" not in str(err.value)
+    with pytest.raises(ValueError, match="not an AlgebraElement"):
+        bar_lift(faced, Z2)
+    with pytest.raises(ValueError, match="not an AlgebraElement"):
+        bar_lift({identity(2): 1}, Z2)
+
+
+def test_q_cardinality_reads_its_block_count_as_an_integer():
+    spec = ShuffleSpec(3, (1, 1))
+    assert q_cardinality(spec, 2.0) == q_cardinality(spec, 2) == 1
+    for bad in [True, 2.5, "2"]:
+        with pytest.raises(ValueError, match="not an integer"):
+            q_cardinality(spec, bad)
+
+
+def test_bar_lift_expansion_reads_integers():
+    assert bar_lift_expansion({1: 3}, 2.0, 2, Z2) == {1: 3 * 2**2}
+    for base, k, n in [({1: 1.5}, 2, 2), ({1: True}, 2, 2), ({1: 1}, True, 2),
+                       ({1: 1}, 2, True), ({1: 1}, 2, 2.5)]:
+        with pytest.raises(ValueError, match="not an integer"):
+            bar_lift_expansion(base, k, n, Z2)
+
+
+# Every cap names what it counts ------------------------------------------------------
+
+
+CAPS = [
+    (lambda: top_to_random(12, 12), "terms", 479001600, DEFAULT_TUPLE_CAP),
+    (lambda: expansion_element(ShuffleSpec(4, (2, 1)), cap=35), "terms", 36, 35),
+    (lambda: hat_top_to_random(8, 8, Z2), "terms", 40320 * 2**8, DEFAULT_TUPLE_CAP),
+    (lambda: g_expansion_element(ShuffleSpec(2, (1, 1)), Z2, cap=11), "terms", 12, 11),
+    (lambda: bar_lift(top_to_random(2, 3), Z3, cap=1), "terms", 6 * 27, 1),
+    (lambda: multiply(top_to_random(2, 4), top_to_random(3, 4), cap=10),
+     "compositions", 288, 10),
+    (lambda: g_multiply(*[hat_top_to_random(1, 2, Z2)] * 2, cap=3), "compositions", 16, 3),
+    (lambda: brute_force_product(ShuffleSpec(5, (3, 3)), cap=100), "tuples", 3600, 100),
+    (lambda: g_brute_force_product(ShuffleSpec(2, (1, 1)), Z2, cap=15), "tuples", 16, 15),
+    (lambda: factorization_counts_by_enumeration(9, S3, cap=10**6), "tuples", 6**9,
+     10**6),
+    (lambda: FiniteGroup.cyclic(4000), "table cells", 16 * 10**6, DEFAULT_TUPLE_CAP),
+    (lambda: stirling2(3000, 2000), "Stirling recurrence cells", 6 * 10**6,
+     STIRLING_CELL_CAP),
+    (lambda: bell(2001), "Stirling recurrence cells", 2001**2, STIRLING_CELL_CAP),
+]
+
+
+@pytest.mark.parametrize("call, unit, required, cap", CAPS)
+def test_caps_name_their_unit(call, unit, required, cap):
+    with pytest.raises(CapExceeded) as err:
+        call()
+    assert (err.value.unit, err.value.required, err.value.cap) == (unit, required, cap)
+    assert str(err.value) == f"{required} {unit} needed, above the cap of {cap}"
+
+
+def test_cli_reports_the_unit(capsys):
+    assert cli.run(["verify", "--n", "5", "--a", "3,3", "--cap", "100"]) == 2
+    assert capsys.readouterr().err == (
+        "topshuffle: 3600 tuples needed, above the cap of 100\n"
+    )
+
+
+# Refusals, one parametrized test per module ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Injection(-1, ()),
+        lambda: Injection(2, (1,)),
+        lambda: Injection(1, (0,)),
+        lambda: Injection(2, (3, 3)),
+        lambda: identity(0),
+    ],
+)
+def test_permutations_refuse(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SegmentedPartition(([1, 2], [3])).block_of(0),
+        lambda: SegmentedPartition(([1, 2], [3])).block_of(4),
+    ],
+)
+def test_coefficients_refuse(call):
+    with pytest.raises(ValueError, match="not in partition"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: AlgebraElement(0, {}),
+        lambda: GAlgebraElement(0, Z2, {}),
+        lambda: top_to_random(1, 2).scale(-1),
+        lambda: hat_top_to_random(1, 2, Z2).scale(-1),
+    ],
+)
+def test_algebra_refuses(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: GPermutation(()),
+        lambda: GPermutation(((0, 1), (0, 3))),
+        lambda: GPermutation(((-1, 1),)),
+        lambda: GPermutation.identity(2).position_of(3),
+        lambda: GPermutation.identity(2).face_of(3),
+        lambda: GPermutation.identity(0),
+        lambda: FiniteGroup([]),
+        lambda: factorization_count(0, 0, Z2),
+        lambda: factorization_count(1, 2, Z2),
+        lambda: factorization_count(1, -1, Z2),
+        lambda: factorization_counts_by_enumeration(0, Z2),
+        lambda: bar_lift_expansion({}, 0, 2, Z2),
+        lambda: bar_lift_expansion({}, 1, 0, Z2),
+    ],
+)
+def test_wreath_refuses(call):
+    with pytest.raises(ValueError):
+        call()
