@@ -72,10 +72,11 @@ class _Element:
 
     An element stores only its raw tally: raw deck to nonzero count, where
     ``_encode`` turns a deck into its raw form and ``_decode`` turns it back
-    through the checked deck constructor.  A subclass supplies its
-    constructor, ``_DECK`` (the deck class), ``_encode``, ``_decode``,
-    ``_sort_key`` and ``__repr__``; an algebra with more than a deck size
-    also overrides ``_check``, ``_MISMATCH`` and the JSON header methods.
+    through the checked deck constructor.  Raw decks sort in their decks'
+    canonical order.  A subclass supplies its constructor, ``_DECK`` (the
+    deck class), ``_encode``, ``_decode`` and ``__repr__``; an algebra with
+    more than a deck size also overrides ``_check``, ``_MISMATCH`` and the
+    JSON header methods.
     """
 
     __slots__ = ("n", "_space", "_raw")
@@ -108,24 +109,27 @@ class _Element:
         if not isinstance(p, self._DECK) or p.n != self.n:
             raise ValueError(f"{p!r} is not a {self._DECK.__name__} of size {self.n}")
 
-    def _decoded(self) -> dict:
-        """The terms, decoded and checked anew on every read."""
+    def _decoded(self, items) -> dict:
+        """The terms of raw ``items``, decoded and checked anew on every read."""
         terms = {}
-        for r, c in self._raw.items():
+        for r, c in items:
             p = self._decode(r)
             self._check(p)
             terms[p] = c
         return terms
 
-    def _require_same(self, other) -> None:
-        if type(other) is not type(self):
-            raise ValueError(f"expected {type(self).__name__}, got {other!r}")
-        if self._space != other._space:
-            raise ValueError(self._MISMATCH.format(self, other))
+    @classmethod
+    def _require(cls, x, y) -> None:
+        """Refuse operands that are not both elements of ``cls`` over one space."""
+        for e in (x, y):
+            if type(e) is not cls:
+                raise ValueError(f"expected {cls.__name__}, got {e!r}")
+        if x._space != y._space:
+            raise ValueError(cls._MISMATCH.format(x, y))
 
     @property
     def terms(self) -> Mapping:
-        return MappingProxyType(self._decoded())
+        return MappingProxyType(self._decoded(self._raw.items()))
 
     def coefficient(self, p) -> int:
         if not isinstance(p, self._DECK):
@@ -138,7 +142,7 @@ class _Element:
         return sum(self._raw.values())
 
     def sorted_terms(self) -> list:
-        return sorted(self._decoded().items(), key=lambda item: self._sort_key(item[0]))
+        return list(self._decoded(sorted(self._raw.items())).items())
 
     def scale(self, c: int):
         c = _integer(c)
@@ -147,7 +151,7 @@ class _Element:
         return self._of_tally(self._space, {r: c * v for r, v in self._raw.items() if c})
 
     def __add__(self, other):
-        self._require_same(other)
+        self._require(self, other)
         out = Counter(self._raw)
         out.update(other._raw)
         return self._of_tally(self._space, out)
@@ -204,10 +208,6 @@ class AlgebraElement(_Element):
     def __init__(self, n: int, terms: Mapping[Permutation, int]):
         self._store((n,), terms)
 
-    @staticmethod
-    def _sort_key(p: Permutation) -> tuple[int, ...]:
-        return p.deck
-
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         return multiply(self, other)
 
@@ -259,7 +259,7 @@ def multiply(
     """Convolution product: coefficient of ``r`` is the sum of
     ``x[p] * y[q]`` over all ``p, q`` with ``compose(p, q) == r``.  Refuses
     up front when the ``len(x) * len(y)`` compositions exceed ``cap``."""
-    x._require_same(y)
+    AlgebraElement._require(x, y)
     _check_cap(len(x) * len(y), cap, "compositions")
     factor = (list(map(_getter, y._raw)), list(y._raw.values()))
     return AlgebraElement._of_tally(x._space, _walk_tuples(x._raw, [factor], _apply))

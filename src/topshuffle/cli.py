@@ -219,9 +219,9 @@ def _cmd_verify(args):
     if oracle == expanded:
         yield 0, {"match": True, "terms": len(oracle)}, "match"
         return
-    terms = sorted(set(oracle.terms) | set(expanded.terms), key=oracle._sort_key)
-    term = next(t for t in terms if expanded.coefficient(t) != oracle.coefficient(t))
-    got, want = expanded.coefficient(term), oracle.coefficient(term)
+    raw = min(r for r, _ in oracle._raw.items() ^ expanded._raw.items())
+    got, want = expanded._raw.get(raw, 0), oracle._raw.get(raw, 0)
+    term = oracle._decode(raw)
     value = {
         "match": False,
         "deck": term.as_json(),

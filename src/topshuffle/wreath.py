@@ -12,13 +12,13 @@ Groups are supplied as validated multiplication tables with element 0 the
 identity, so arbitrary finite groups (including nonabelian ones) work.
 
 ``GAlgebraElement`` keeps only what is faced about it: its raw tally is
-keyed by (positions by card, faces by card), and its body is
-``algebra._Element``, shared with the plain ``AlgebraElement``.  Its shuffle
-sums are built by ``algebra._shuffle_sums`` from the faced deck list.  The
-oracles ``g_brute_force_product`` and ``factorization_counts_by_enumeration``
-count tuples, and ``g_multiply`` convolves, in the one fold
-``algebra._walk_tuples``, which shares no code with ``expansion``,
-``expansion_element`` or ``g_expansion*``.
+keyed by (cards by position, faces by position), the two columns of
+``GPermutation.deck``, and its body is ``algebra._Element``.  Products
+follow the wreath rule ``(σ, f)(τ, g) = (στ, f^τ·g)``.  The oracle
+``g_brute_force_product`` and ``g_multiply`` run in the one fold
+``algebra._walk_tuples``, which shares no code with ``expansion*`` or
+``g_expansion*``.  The group is the faced decks of one card, so
+``factorization_counts_by_enumeration`` is that oracle at ``n = 1``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .coefficients import ShuffleSpec
 from .permutations import (
     Permutation,
     _integer,
-    _inverse_deck,
     _json_list,
     _json_object,
     _min_shuffle_raw,
@@ -258,47 +257,56 @@ class GPermutation:
         return cls(tuple(_json_object(b, "face", "card") for b in _json_list(data)))
 
 
+def _check_group(group) -> FiniteGroup:
+    """The faced boundary's group check: ``group`` itself, if a ``FiniteGroup``."""
+    if not isinstance(group, FiniteGroup):
+        raise ValueError(f"expected a FiniteGroup, got {group!r}")
+    return group
+
+
 def _check_faces(gp: GPermutation, group: FiniteGroup) -> None:
-    if any(f >= group.order for f, _ in gp.deck):
-        raise ValueError(f"face index out of range for a group of order {group.order}")
+    order = _check_group(group).order
+    if any(f >= order for f, _ in gp.deck):
+        raise ValueError(f"face index out of range for a group of order {order}")
 
 
-# Raw form used in enumerations: (positions by card, faces by card), 0-based
-# card indices.  Composition is cheap in this form.
+# Raw form used in enumerations: (cards by position, faces by position), the
+# two columns of ``GPermutation.deck``.  Raw keys sort in canonical order.
 
 def _to_raw(gp: GPermutation) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    n = gp.n
-    pos = [0] * n
-    face = [0] * n
-    for i, (f, c) in enumerate(gp.deck):
-        pos[c - 1] = i + 1
-        face[c - 1] = f
-    return tuple(pos), tuple(face)
+    faces, cards = zip(*gp.deck)
+    return cards, faces
 
 
 def _from_raw(raw: tuple[tuple[int, ...], tuple[int, ...]]) -> GPermutation:
-    pos, face = raw
-    return GPermutation(tuple([(face[c - 1], c) for c in _inverse_deck(pos)]))
+    cards, faces = raw
+    return GPermutation(tuple(zip(faces, cards)))
 
 
 def _g_compose_row(s, terms, cayley) -> list:
-    """``s`` composed with each raw term: one getter built from ``s``'s
-    positions reads every term's positions and faces."""
-    spos, sface = s
-    g = _getter(spos)
-    rows = [cayley[f] for f in sface]
-    return [(g(tpos), tuple(map(getitem, rows, g(tface)))) for tpos, tface in terms]
+    """``s`` times each term, by the wreath rule ``(σ, f)(τ, g) = (στ, f^τ·g)``.
+    Terms come per deck as (its ``_getter``, its faces): the getter reorders
+    ``s``'s cards and face rows once, and each term's faces index the rows."""
+    cards, faces = s
+    rows = [cayley[f] for f in faces]
+    return [
+        (c, tuple(map(getitem, r, f)))
+        for g, spins in terms
+        for c, r in [(g(cards), g(rows))]
+        for f in spins
+    ]
 
 
 def g_compose(s: GPermutation, t: GPermutation, group: FiniteGroup) -> GPermutation:
-    """Left-to-right product: card ``m`` chains through both position maps,
-    and its face is ``s``'s face times the face ``t`` gives the card index
-    ``s`` sent ``m`` to."""
+    """Left-to-right product: position ``j`` holds the card that ``s`` holds
+    at the position named by ``t``'s card at ``j``, its face times ``t``'s
+    face at ``j``."""
     if s.n != t.n:
         raise ValueError(f"deck sizes differ: {s.n} != {t.n}")
     _check_faces(s, group)
     _check_faces(t, group)
-    return _from_raw(_g_compose_row(_to_raw(s), [_to_raw(t)], group.cayley)[0])
+    c, f = _to_raw(t)
+    return _from_raw(_g_compose_row(_to_raw(s), [(_getter(c), [f])], group.cayley)[0])
 
 
 class GAlgebraElement(_Element):
@@ -311,7 +319,7 @@ class GAlgebraElement(_Element):
     _MISMATCH = "elements live in different algebras"
 
     def __init__(self, n: int, group: FiniteGroup, terms: Mapping[GPermutation, int]):
-        self._store((n, group), terms)
+        self._store((n, _check_group(group)), terms)
 
     def _check(self, gp: GPermutation) -> None:
         super()._check(gp)
@@ -320,11 +328,6 @@ class GAlgebraElement(_Element):
     @property
     def group(self) -> FiniteGroup:
         return self._space[1]
-
-    @staticmethod
-    def _sort_key(gp: GPermutation) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Canonical order: by underlying deck, then by faces along positions."""
-        return tuple(c for _, c in gp.deck), tuple(f for f, _ in gp.deck)
 
     def _json_header(self) -> dict:
         return {"n": self.n, "group": self.group.as_json()}
@@ -341,14 +344,18 @@ class GAlgebraElement(_Element):
         )
 
 
-def _hat_decks_raw(a: int, n: int, order: int) -> Iterator[tuple]:
-    """Raw terms of ``hat_top_to_random``: positions lexicographic, then
-    faces lexicographic."""
+def _hat_decks_raw(a: int, n: int, order: int, compiled: bool = False) -> Iterator:
+    """Raw terms of ``hat_top_to_random``: each of ``_top_to_random_decks``
+    with every spin of cards ``1..a``, by position; decks that touch the same
+    positions share one spin list.  ``compiled`` yields (the deck's getter,
+    its spins) once per deck, as ``_g_compose_row`` reads terms."""
     spins = [f + (0,) * (n - a) for f in itertools.product(range(order), repeat=a)]
+    touched, by_position = (1,) * a + (0,) * (n - a), {}
     for deck in _top_to_random_decks(a, n):
-        pos = _inverse_deck(deck)
-        for faces in spins:
-            yield pos, faces
+        g = _getter(deck)
+        key = g(touched)
+        faces = by_position.get(key) or by_position.setdefault(key, list(map(g, spins)))
+        yield from [(g, faces)] if compiled else zip(itertools.repeat(deck), faces)
 
 
 def hat_top_to_random(a: int, n: int, group: FiniteGroup) -> GAlgebraElement:
@@ -356,7 +363,7 @@ def hat_top_to_random(a: int, n: int, group: FiniteGroup) -> GAlgebraElement:
     of their faces spun independently; untouched cards keep the identity
     face.  Has ``order**a * P(n, a)`` terms, all with coefficient 1;
     refused with ``CapExceeded`` above ``DEFAULT_TUPLE_CAP`` of them."""
-    spec, order = ShuffleSpec(n, (a,)), group.order
+    spec, order = ShuffleSpec(n, (a,)), _check_group(group).order
     decks = partial(_hat_decks_raw, order=order)
     tally = _shuffle_sums(spec.n, {spec.a[0]: 1}, decks, DEFAULT_TUPLE_CAP, order)
     return GAlgebraElement._of_tally((spec.n, group), tally)
@@ -367,10 +374,11 @@ def g_multiply(
 ) -> GAlgebraElement:
     """Convolution product in the faced-deck algebra.  Refuses up front when
     the ``len(x) * len(y)`` compositions exceed ``cap``."""
-    x._require_same(y)
+    GAlgebraElement._require(x, y)
     _check_cap(len(x) * len(y), cap, "compositions")
     row = partial(_g_compose_row, cayley=x.group.cayley)
-    tally = _walk_tuples(x._raw, [(list(y._raw), list(y._raw.values()))], row)
+    terms = [(_getter(d), [f]) for d, f in y._raw]
+    tally = _walk_tuples(x._raw, [(terms, list(y._raw.values()))], row)
     return GAlgebraElement._of_tally(x._space, tally)
 
 
@@ -379,7 +387,7 @@ def factorization_count(l: int, g: int, group: FiniteGroup) -> int:
     ``order**(l-1)``, the same for every ``g``."""
     if l < 1:
         raise ValueError("tuple length must be at least 1")
-    if not 0 <= g < group.order:
+    if not 0 <= g < _check_group(group).order:
         raise ValueError(f"element {g} outside 0..{group.order - 1}")
     return group.order ** (l - 1)
 
@@ -388,20 +396,18 @@ def factorization_counts_by_enumeration(
     l: int, group: FiniteGroup, cap: int = DEFAULT_TUPLE_CAP
 ) -> tuple[int, ...]:
     """Per-element tuple counts obtained by walking all ``order**l`` tuples;
-    the independent check of ``factorization_count``."""
+    the independent check of ``factorization_count``, as the product of
+    ``l`` one-card faced shuffle sums (the group is the one-card decks)."""
     if l < 1:
         raise ValueError("tuple length must be at least 1")
-    _check_cap(group.order**l, cap, "tuples")
-    cayley = group.cayley
-    factors = [(range(group.order), None)] * l
-    tally = _walk_tuples({0: 1}, factors, lambda acc, f: [cayley[acc][x] for x in f])
-    return tuple(tally[g] for g in range(group.order))
+    tally = g_brute_force_product(ShuffleSpec(1, (1,) * l), group, cap)._raw
+    return tuple(tally.get(((1,), (g,)), 0) for g in range(group.order))
 
 
 def predicted_g_tuple_count(spec: ShuffleSpec, group: FiniteGroup) -> int:
     """Faced term tuples a brute-force walk visits, which is also the number
     of faced outcome tuples: ``order**sum(a)`` times the plain count."""
-    return group.order**spec.total * predicted_tuple_count(spec)
+    return _check_group(group).order ** spec.total * predicted_tuple_count(spec)
 
 
 def g_brute_force_product(
@@ -412,7 +418,7 @@ def g_brute_force_product(
     ``_walk_tuples``."""
     _check_cap(predicted_g_tuple_count(spec, group), cap, "tuples")
     n = spec.n
-    terms = {ai: list(_hat_decks_raw(ai, n, group.order)) for ai in set(spec.a)}
+    terms = {ai: list(_hat_decks_raw(ai, n, group.order, True)) for ai in set(spec.a)}
     start = {(tuple(range(1, n + 1)), (0,) * n): 1}
     row = partial(_g_compose_row, cayley=group.cayley)
     tally = _walk_tuples(start, [(terms[ai], None) for ai in spec.a], row)
@@ -423,9 +429,8 @@ def g_expansion(spec: ShuffleSpec, group: FiniteGroup) -> dict[int, int]:
     """Coefficients ``{c: count}`` with the product of the spec's faced
     shuffle sums equal to ``sum_c count * hat_top_to_random(c, n)``: the
     plain count at ``c`` times ``order**(sum(a) - c)``."""
-    return {
-        c: q * group.order ** (spec.total - c) for c, q in expansion(spec).items()
-    }
+    order = _check_group(group).order
+    return {c: q * order ** (spec.total - c) for c, q in expansion(spec).items()}
 
 
 def g_expansion_element(
@@ -434,7 +439,7 @@ def g_expansion_element(
     """The faced expansion materialized as one element, for comparison
     against ``g_brute_force_product``.  Refuses up front when the faced
     shuffle sums it adds up have more than ``cap`` terms in total."""
-    decks = partial(_hat_decks_raw, order=group.order)
+    decks = partial(_hat_decks_raw, order=_check_group(group).order)
     tally = _shuffle_sums(spec.n, g_expansion(spec, group), decks, cap, group.order)
     return GAlgebraElement._of_tally((spec.n, group), tally)
 
@@ -473,9 +478,9 @@ def bar_lift(x, group: FiniteGroup, cap: int = DEFAULT_TUPLE_CAP) -> GAlgebraEle
     Refuses up front when the ``len(x) * order**n`` terms exceed ``cap``."""
     if not isinstance(x, AlgebraElement):
         raise ValueError(f"{x!r} is not an AlgebraElement")
-    _check_cap(len(x) * group.order**x.n, cap, "terms")
+    _check_cap(len(x) * _check_group(group).order ** x.n, cap, "terms")
     spins = partial(itertools.product, range(group.order), repeat=x.n)
-    terms = {(_inverse_deck(d), f): c for d, c in x._raw.items() for f in spins()}
+    terms = {(d, f): c for d, c in x._raw.items() for f in spins()}
     return GAlgebraElement._of_tally((x.n, group), terms)
 
 
@@ -494,5 +499,5 @@ def bar_lift_expansion(
     base = {r: _integer(c) for r, c in base_coefficients.items()}
     if any(c < 0 for c in base.values()):
         raise ValueError("base coefficients must be nonnegative")
-    factor = (group.order ** (k - 1)) ** n
+    factor = (_check_group(group).order ** (k - 1)) ** n
     return {r: c * factor for r, c in base.items()}

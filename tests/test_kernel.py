@@ -194,7 +194,12 @@ def reachable_names(fn):
 
 @pytest.mark.parametrize(
     "oracle",
-    [algebra._walk_tuples, algebra.brute_force_product, wreath.g_brute_force_product],
+    [
+        algebra._walk_tuples,
+        algebra.brute_force_product,
+        wreath.g_brute_force_product,
+        wreath.factorization_counts_by_enumeration,
+    ],
 )
 def test_oracle_never_reaches_the_closed_form(oracle):
     assert not reachable_names(oracle) & CLOSED_FORM
@@ -218,12 +223,16 @@ def small_specs(n_max, k_max):
 
 
 def faced_deck(raw):
-    """A raw faced deck, (positions by card, faces by card), as a deck."""
-    positions, faces = raw
-    deck = [None] * len(positions)
-    for card, (p, f) in enumerate(zip(positions, faces), start=1):
-        deck[p - 1] = (f, card)
-    return GPermutation(tuple(deck))
+    """A raw faced deck, (cards by position, faces by position), as a deck."""
+    cards, faces = raw
+    return GPermutation(tuple((f, c) for c, f in zip(cards, faces)))
+
+
+def canonical(term):
+    """A faced term's place in canonical order: by underlying deck, then by
+    faces along positions."""
+    deck = term[0].deck
+    return tuple(c for _, c in deck), tuple(f for f, _ in deck)
 
 
 def test_plain_raw_tallies_decode_to_their_elements():
@@ -247,6 +256,7 @@ def test_faced_raw_tallies_decode_to_their_elements(order):
             assert 0 not in element._raw.values()
             decoded = {faced_deck(r): c for r, c in element._raw.items()}
             assert decoded == element.terms, (spec, public)
+            assert element.sorted_terms() == sorted(decoded.items(), key=canonical)
             assert GAlgebraElement(spec.n, group, element.terms) == element
 
 

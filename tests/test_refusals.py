@@ -21,6 +21,7 @@ from topshuffle import (
     factorization_count,
     factorization_counts_by_enumeration,
     g_brute_force_product,
+    g_expansion,
     g_multiply,
     hat_top_to_random,
     identity,
@@ -68,6 +69,8 @@ def test_elements_of_the_other_algebra_are_refused():
     for combine in [
         lambda: multiply(plain, faced),
         lambda: g_multiply(faced, plain),
+        lambda: multiply(faced, faced),
+        lambda: g_multiply(plain, plain),
         lambda: plain + faced,
         lambda: faced + plain,
     ]:
@@ -194,6 +197,12 @@ def test_algebra_refuses(call):
         lambda: factorization_counts_by_enumeration(0, Z2),
         lambda: bar_lift_expansion({}, 0, 2, Z2),
         lambda: bar_lift_expansion({}, 1, 0, Z2),
+        lambda: GAlgebraElement(2, "Z2", {}),
+        lambda: hat_top_to_random(1, 2, "Z2"),
+        lambda: g_brute_force_product(ShuffleSpec(2, (1,)), "Z2"),
+        lambda: g_expansion(ShuffleSpec(2, (1,)), "Z2"),
+        lambda: bar_lift(top_to_random(1, 2), "Z2"),
+        lambda: factorization_counts_by_enumeration(2, "Z2"),
     ],
 )
 def test_wreath_refuses(call):
