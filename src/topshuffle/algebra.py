@@ -6,15 +6,17 @@ Products of such sums collapse back to a combination of single
 top-to-random sums; ``expansion`` reads those coefficients off one
 round-partition count row (``coefficients._q_row``), while
 ``brute_force_product`` provides the independent check by counting every
-tuple of factor terms by its left-to-right composite, in a fold over the
-factors: each distinct deck reached so far, with its number of tuple
-prefixes, is composed once with every term of the next factor.
+tuple of factor terms by its composite, in a fold over the factors from
+last to first: each distinct deck reached so far, with its number of tuple
+suffixes, has every term of the next factor composed on its left.
 
 This module also holds what the plain and faced (``wreath``) algebras
 share: the element body ``_Element``, the body ``_shuffle_sums`` behind
 every builder of shuffle sums, and the fold ``_walk_tuples``, the one
 convolution kernel behind both oracles and both ``multiply`` and
-``wreath.g_multiply``.  The fold shares no code with ``expansion``,
+``wreath.g_multiply``.  There a state is its symbols, as bytes while they
+fit in one, and a term is the table of symbols it substitutes for them
+(``_substitution``).  The fold shares no code with ``expansion``,
 ``expansion_element`` or ``wreath.g_expansion*``, so the oracle stays an
 independent check of the closed form.
 
@@ -31,9 +33,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from operator import attrgetter, itemgetter
+from itertools import repeat
+from operator import add, attrgetter, itemgetter, mul
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .coefficients import ShuffleSpec, _q_row
 from .errors import CapExceeded
@@ -261,8 +264,8 @@ def multiply(
     up front when the ``len(x) * len(y)`` compositions exceed ``cap``."""
     AlgebraElement._require(x, y)
     _check_cap(len(x) * len(y), cap, "compositions")
-    factor = (list(map(_getter, y._raw)), list(y._raw.values()))
-    return AlgebraElement._of_tally(x._space, _walk_tuples(x._raw, [factor], _apply))
+    factors = [(e._raw.keys(), e._raw.values()) for e in (x, y)]
+    return AlgebraElement._of_tally(x._space, _fold(_deck_symbols(x.n), factors))
 
 
 def predicted_tuple_count(spec: ShuffleSpec) -> int:
@@ -271,42 +274,56 @@ def predicted_tuple_count(spec: ShuffleSpec) -> int:
     return math.prod(math.perm(spec.n, ai) for ai in spec.a)
 
 
-def _walk_tuples(tally: Mapping, factors: list, compose_row) -> Mapping:
-    """Fold the raw tally through the factors, each ``(terms, counts)`` with
-    ``counts`` None when every term's count is 1.
-
-    ``compose_row(state, terms)`` lists ``state`` composed with each term,
-    once per distinct state, and each composite gains the state's count
-    times the term's.  From ``{start: 1}`` this tallies the left-to-right
-    composite of every tuple of factor terms, by its number of tuples."""
-    for terms, counts in factors:
+def _walk_tuples(tally: Mapping, factors: Iterable) -> Counter:
+    """Fold a tally of keys through the factors, each ``(tables, counts)``,
+    ``counts`` None when all are 1: each term composes once on the left of
+    each distinct state, by ``_substitution``, and the composite gains the
+    state's count times the term's.  Folding factors last to first from
+    ``{identity: 1}`` tallies every tuple of terms by its composite."""
+    for tables, counts in factors:
         nxt: Counter = Counter()
         get = nxt.get
         for state, count in tally.items():
-            row = compose_row(state, terms)
-            if counts is not None:
-                for s, c in zip(row, counts):
-                    nxt[s] = get(s, 0) + count * c
-            elif count == 1:
+            row = list(map(_substitution(state), tables))
+            if counts is None and count == 1:
                 nxt.update(row)
             else:
-                for s in row:
-                    nxt[s] = get(s, 0) + count
+                weights = map(mul, counts, repeat(count)) if counts else repeat(count)
+                # One state's composites are distinct: each is read before written.
+                dict.update(nxt, zip(row, map(add, map(get, row, repeat(0)), weights)))
         tally = nxt
     return tally
 
 
-def _getter(deck: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """Composes a raw deck with ``deck``: ``itemgetter`` of its 0-based
-    indices, which returns a tuple even for a one-card deck."""
-    if len(deck) == 1:
-        return lambda seq: (seq[0],)
-    return itemgetter(*[c - 1 for c in deck])
+def _substitution(key) -> Callable:
+    """``term·state`` as a function of the term's table: the table's entries
+    at the state ``key``'s symbols, in ``key``'s form, by one C call."""
+    if type(key) is bytes:
+        return key.translate
+    if len(key) == 1:
+        return itemgetter(slice(key[0], key[0] + 1))
+    return itemgetter(*key)
 
 
-def _apply(cur, getters: list) -> list:
-    """``cur`` composed with each deck, given as its ``_getter``."""
-    return [g(cur) for g in getters]
+def _deck_symbols(n: int) -> tuple:
+    """(key, table, raw) for the fold over plain decks of size ``n``: a raw
+    deck's key and table, and the raw tally of a tally of keys.  A symbol is
+    a card, and the table of ``τ`` holds ``τ_c`` at ``c``: bytes padded to
+    256 while cards fit in a byte, else tuples, with raw decks as keys."""
+    if n > 255:
+        return (lambda d: d), (lambda d: (0, *d)), (lambda tally: tally)
+    raw = lambda tally: dict(zip(map(tuple, tally), tally.values()))
+    return bytes, (lambda d: bytes((0, *d)).ljust(256)), raw
+
+
+def _fold(symbols: tuple, factors: list) -> Mapping:
+    """Raw tally of the product of ``factors``, each (raw terms, counts) as
+    ``_walk_tuples`` reads them, over the ``symbols`` of ``_deck_symbols``
+    or ``wreath._g_symbols``: the last factor's terms start the fold."""
+    key, table, raw = symbols
+    *rest, (terms, counts) = factors
+    start = dict(zip(map(key, terms), counts or repeat(1)))
+    return raw(_walk_tuples(start, ((list(map(table, t)), c) for t, c in reversed(rest))))
 
 
 def brute_force_product(
@@ -319,13 +336,9 @@ def brute_force_product(
     tuple count exceeds ``cap``.
     """
     _check_cap(predicted_tuple_count(spec), cap, "tuples")
-    n = spec.n
-    getters = {
-        ai: list(map(_getter, _top_to_random_decks(ai, n))) for ai in set(spec.a)
-    }
-    factors = [(getters[ai], None) for ai in spec.a]
-    tally = _walk_tuples({tuple(range(1, n + 1)): 1}, factors, _apply)
-    return AlgebraElement._of_tally((n,), tally)
+    terms = {ai: _top_to_random_decks(ai, spec.n) for ai in set(spec.a)}
+    tally = _fold(_deck_symbols(spec.n), [(terms[ai], None) for ai in spec.a])
+    return AlgebraElement._of_tally((spec.n,), tally)
 
 
 def expansion(spec: ShuffleSpec) -> dict[int, int]:

@@ -17,16 +17,20 @@ keyed by (cards by position, faces by position), the two columns of
 follow the wreath rule ``(σ, f)(τ, g) = (στ, f^τ·g)``.  The oracle
 ``g_brute_force_product`` and ``g_multiply`` run in the one fold
 ``algebra._walk_tuples``, which shares no code with ``expansion*`` or
-``g_expansion*``.  The group is the faced decks of one card, so
-``factorization_counts_by_enumeration`` is that oracle at ``n = 1``.
+``g_expansion*`` or with ``g_compose``; its symbol is a card with its face
+(``_g_symbols``).  The group is the faced decks of one card, so
+``factorization_counts_by_enumeration`` is that oracle at ``n = 1``, where
+a term's table is its face's Cayley row.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
-from operator import getitem, itemgetter
+from functools import cache, partial
+from itertools import starmap
+from operator import itemgetter
+from struct import iter_unpack
 from typing import Iterator, Mapping, Sequence
 
 from .algebra import (
@@ -34,10 +38,10 @@ from .algebra import (
     AlgebraElement,
     _Element,
     _check_cap,
-    _getter,
+    _fold,
     _shuffle_sums,
+    _substitution,
     _top_to_random_decks,
-    _walk_tuples,
     expansion,
     predicted_tuple_count,
 )
@@ -283,20 +287,6 @@ def _from_raw(raw: tuple[tuple[int, ...], tuple[int, ...]]) -> GPermutation:
     return GPermutation(tuple(zip(faces, cards)))
 
 
-def _g_compose_row(s, terms, cayley) -> list:
-    """``s`` times each term, by the wreath rule ``(σ, f)(τ, g) = (στ, f^τ·g)``.
-    Terms come per deck as (its ``_getter``, its faces): the getter reorders
-    ``s``'s cards and face rows once, and each term's faces index the rows."""
-    cards, faces = s
-    rows = [cayley[f] for f in faces]
-    return [
-        (c, tuple(map(getitem, r, f)))
-        for g, spins in terms
-        for c, r in [(g(cards), g(rows))]
-        for f in spins
-    ]
-
-
 def g_compose(s: GPermutation, t: GPermutation, group: FiniteGroup) -> GPermutation:
     """Left-to-right product: position ``j`` holds the card that ``s`` holds
     at the position named by ``t``'s card at ``j``, its face times ``t``'s
@@ -305,8 +295,40 @@ def g_compose(s: GPermutation, t: GPermutation, group: FiniteGroup) -> GPermutat
         raise ValueError(f"deck sizes differ: {s.n} != {t.n}")
     _check_faces(s, group)
     _check_faces(t, group)
-    c, f = _to_raw(t)
-    return _from_raw(_g_compose_row(_to_raw(s), [(_getter(c), [f])], group.cayley)[0])
+    picked = [(s.deck[c - 1], f) for f, c in t.deck]
+    return GPermutation(tuple((group.cayley[sf][f], sc) for (sf, sc), f in picked))
+
+
+def _g_symbols(n: int, cayley: tuple) -> tuple:
+    """``algebra._deck_symbols`` for faced decks.  Card ``c`` showing ``φ``
+    is the symbol ``(c-1)·order + φ``, which the term ``(τ, g)`` sends to
+    ``(τ_c, g_c·φ)``: the wreath rule ``(τ, g)(σ, f) = (τσ, g^σ·f)`` read at
+    one position.  So a table is one block per card, its face's Cayley row
+    shifted to the card's symbols.  Keys and tables are bytes while the
+    symbols and the cards fit in a byte."""
+    order = len(cayley)
+    narrow = n * order <= 256 and n < 256
+    form, pad = (bytes, lambda t: bytes(t).ljust(256)) if narrow else (tuple, tuple)
+    cards, faces = map(pad, zip(*[(s // order + 1, s % order) for s in range(n * order)]))
+
+    @cache
+    def block(c, f):
+        return cayley[f] if c == 1 else tuple(map(((c - 1) * order).__add__, cayley[f]))
+
+    def table(r):
+        parts = list(map(block, *r))
+        return pad(parts[0] if n == 1 else itertools.chain.from_iterable(parts))
+
+    def raw(tally):
+        if narrow:
+            keys = b"".join(tally)
+            raws = zip(*[iter_unpack(f"{n}B", keys.translate(t)) for t in (cards, faces)])
+        else:
+            getters = starmap(itemgetter, tally) if n > 1 else map(_substitution, tally)
+            raws = [(get(cards), get(faces)) for get in getters]
+        return dict(zip(raws, tally.values()))
+
+    return (lambda r: form([(c - 1) * order + f for c, f in zip(*r)])), table, raw
 
 
 class GAlgebraElement(_Element):
@@ -344,18 +366,17 @@ class GAlgebraElement(_Element):
         )
 
 
-def _hat_decks_raw(a: int, n: int, order: int, compiled: bool = False) -> Iterator:
+def _hat_decks_raw(a: int, n: int, order: int) -> Iterator:
     """Raw terms of ``hat_top_to_random``: each of ``_top_to_random_decks``
     with every spin of cards ``1..a``, by position; decks that touch the same
-    positions share one spin list.  ``compiled`` yields (the deck's getter,
-    its spins) once per deck, as ``_g_compose_row`` reads terms."""
+    positions share one spin list."""
     spins = [f + (0,) * (n - a) for f in itertools.product(range(order), repeat=a)]
     touched, by_position = (1,) * a + (0,) * (n - a), {}
     for deck in _top_to_random_decks(a, n):
-        g = _getter(deck)
+        g = itemgetter(*[c - 1 for c in deck]) if n > 1 else tuple
         key = g(touched)
         faces = by_position.get(key) or by_position.setdefault(key, list(map(g, spins)))
-        yield from [(g, faces)] if compiled else zip(itertools.repeat(deck), faces)
+        yield from zip(itertools.repeat(deck), faces)
 
 
 def hat_top_to_random(a: int, n: int, group: FiniteGroup) -> GAlgebraElement:
@@ -376,9 +397,8 @@ def g_multiply(
     the ``len(x) * len(y)`` compositions exceed ``cap``."""
     GAlgebraElement._require(x, y)
     _check_cap(len(x) * len(y), cap, "compositions")
-    row = partial(_g_compose_row, cayley=x.group.cayley)
-    terms = [(_getter(d), [f]) for d, f in y._raw]
-    tally = _walk_tuples(x._raw, [(terms, list(y._raw.values()))], row)
+    factors = [(e._raw.keys(), e._raw.values()) for e in (x, y)]
+    tally = _fold(_g_symbols(x.n, x.group.cayley), factors)
     return GAlgebraElement._of_tally(x._space, tally)
 
 
@@ -417,12 +437,9 @@ def g_brute_force_product(
     all term tuples, through the fold over distinct states in
     ``_walk_tuples``."""
     _check_cap(predicted_g_tuple_count(spec, group), cap, "tuples")
-    n = spec.n
-    terms = {ai: list(_hat_decks_raw(ai, n, group.order, True)) for ai in set(spec.a)}
-    start = {(tuple(range(1, n + 1)), (0,) * n): 1}
-    row = partial(_g_compose_row, cayley=group.cayley)
-    tally = _walk_tuples(start, [(terms[ai], None) for ai in spec.a], row)
-    return GAlgebraElement._of_tally((n, group), tally)
+    terms = {ai: list(_hat_decks_raw(ai, spec.n, group.order)) for ai in set(spec.a)}
+    tally = _fold(_g_symbols(spec.n, group.cayley), [(terms[ai], None) for ai in spec.a])
+    return GAlgebraElement._of_tally((spec.n, group), tally)
 
 
 def g_expansion(spec: ShuffleSpec, group: FiniteGroup) -> dict[int, int]:

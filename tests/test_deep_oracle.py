@@ -2,14 +2,17 @@
 up to 30 shuffles of up to 6 plain cards, and up to 12 faced shuffles of
 up to 4 cards.
 
-Cases are chosen by the work of the oracle's fold,
-``W = sum_i S_(i-1) * T_i``, where ``T_i`` is the number of terms of factor
-``i`` and ``S_(i-1)`` the number of distinct decks before it: the support
-of the prefix product's top shuffle sum, ``P(n, c) * order**c`` with ``c``
-the cards the prefix can touch.  Their tuple counts reach 10**23, so every
-oracle call passes the exact tuple count as its cap.  Past the first few
-factors every state stands for many tuples, so these cases run the fold's
-path for counts above 1 at depths the small-``k`` suites never reach.
+Cases are chosen by ``W = sum_i S_(i-1) * T_i``, where ``T_i`` is the
+number of terms of factor ``i`` and ``S_(i-1)`` the support of the prefix
+product's top shuffle sum, ``P(n, c) * order**c`` with ``c`` the cards the
+prefix can touch.  That was the fold's work when it ran first to last; it
+now runs last to first, composing each factor on the left of the suffix
+product's distinct decks, so its work is the same sum over suffix
+supports, and the selection is kept as it was.  Their tuple counts reach
+10**23, so every oracle call passes the exact tuple count as its cap.  Past
+the first few factors every state stands for many tuples, so these cases
+run the fold's path for counts above 1 at depths the small-``k`` suites
+never reach.
 """
 
 import math
@@ -42,7 +45,7 @@ def support(n, cards, order):
 
 
 def fold_work(n, a, order=1):
-    """Compositions the fold does: distinct states times factor terms."""
+    """``W``: the distinct decks before each factor times its terms."""
     return sum(
         support(n, sum(a[:i]), order) * support(n, ai, order) for i, ai in enumerate(a)
     )

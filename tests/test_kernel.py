@@ -199,6 +199,8 @@ def reachable_names(fn):
         algebra.brute_force_product,
         wreath.g_brute_force_product,
         wreath.factorization_counts_by_enumeration,
+        algebra._substitution,
+        wreath._g_symbols,
     ],
 )
 def test_oracle_never_reaches_the_closed_form(oracle):
@@ -208,6 +210,17 @@ def test_oracle_never_reaches_the_closed_form(oracle):
 def test_oracle_guard_sees_the_closed_form_where_it_is_used():
     assert "expansion" in reachable_names(algebra.expansion_element)
     assert "_q_row" in reachable_names(wreath.g_expansion_element)
+
+
+FOLD = {"_walk_tuples", "_fold", "_substitution", "_deck_symbols", "_g_symbols"}
+
+
+def test_compose_shares_nothing_with_the_fold():
+    # The products of weighted elements are checked against double sums of
+    # ``compose`` and ``g_compose``, which must not run through the fold.
+    assert FOLD <= reachable_names(algebra.multiply) | reachable_names(wreath.g_multiply)
+    assert not reachable_names(compose) & FOLD
+    assert not reachable_names(g_compose) & FOLD
 
 
 # The raw tallies that ``verify`` compares, decoded here on their own -----------
@@ -362,6 +375,31 @@ def test_faced_fold_equals_the_tuple_tally(n, a, order):
     tally = g_brute_force_product(spec, group).terms
     assert tally == tuple_tally(factors, lambda s, t: faced_compose(s, t, group))
     assert sum(tally.values()) == wreath.predicted_g_tuple_count(spec, group)
+
+
+# The fold keys states by bytes while their symbols fit in a byte, by tuples
+# past that; each oracle is checked on both sides of that boundary.
+
+
+@pytest.mark.parametrize("n, key_type", [(255, bytes), (256, tuple)])
+def test_plain_oracle_on_each_side_of_the_byte_boundary(n, key_type):
+    assert type(algebra._deck_symbols(n)[0](tuple(range(1, n + 1)))) is key_type
+    spec = ShuffleSpec(n, (1, 1))
+    assert brute_force_product(spec) == algebra.expansion_element(spec)
+
+
+@pytest.mark.parametrize("order, key_type", [(128, bytes), (129, tuple)])
+def test_faced_oracle_on_each_side_of_the_byte_boundary(order, key_type):
+    group, spec = FiniteGroup.cyclic(order), ShuffleSpec(2, (1, 1))
+    assert type(wreath._g_symbols(2, group.cayley)[0](((1, 2), (0, 0)))) is key_type
+    assert g_brute_force_product(spec, group) == wreath.g_expansion_element(spec, group)
+
+
+@pytest.mark.parametrize("order, key_type", [(256, bytes), (257, tuple)])
+def test_factorization_oracle_on_each_side_of_the_byte_boundary(order, key_type):
+    group = FiniteGroup.cyclic(order)
+    assert type(wreath._g_symbols(1, group.cayley)[0](((1,), (0,)))) is key_type
+    assert factorization_counts_by_enumeration(2, group) == (order,) * order
 
 
 @pytest.mark.parametrize("l", [1, 2, 4])

@@ -12,6 +12,8 @@ import pytest
 
 from topshuffle import (
     FiniteGroup,
+    GAlgebraElement,
+    GPermutation,
     ShuffleSpec,
     brute_force_product,
     compose,
@@ -73,6 +75,16 @@ FACED = [
         oracle(2, (1, 1), S3),
     ),
     (oracle(3, (2, 1), Z2), hat_top_to_random(3, 3, Z2).scale(5)),
+    # Faces of a nonabelian group that are not summed over the whole group,
+    # so a product that multiplies faces in the wrong order shows.
+    (
+        GAlgebraElement(
+            2, S3, {GPermutation(((1, 2), (3, 1))): 2, GPermutation(((4, 1), (2, 2))): 3}
+        ),
+        GAlgebraElement(
+            2, S3, {GPermutation(((5, 2), (1, 1))): 3, GPermutation(((2, 1), (0, 2))): 2}
+        ),
+    ),
 ]
 
 
