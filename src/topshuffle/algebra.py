@@ -36,7 +36,7 @@ from collections import Counter
 from itertools import repeat
 from operator import add, attrgetter, itemgetter, mul
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .coefficients import ShuffleSpec, _q_row
 from .errors import CapExceeded
@@ -274,27 +274,6 @@ def predicted_tuple_count(spec: ShuffleSpec) -> int:
     return math.prod(math.perm(spec.n, ai) for ai in spec.a)
 
 
-def _walk_tuples(tally: Mapping, factors: Iterable) -> Counter:
-    """Fold a tally of keys through the factors, each ``(tables, counts)``,
-    ``counts`` None when all are 1: each term composes once on the left of
-    each distinct state, by ``_substitution``, and the composite gains the
-    state's count times the term's.  Folding factors last to first from
-    ``{identity: 1}`` tallies every tuple of terms by its composite."""
-    for tables, counts in factors:
-        nxt: Counter = Counter()
-        get = nxt.get
-        for state, count in tally.items():
-            row = list(map(_substitution(state), tables))
-            if counts is None and count == 1:
-                nxt.update(row)
-            else:
-                weights = map(mul, counts, repeat(count)) if counts else repeat(count)
-                # One state's composites are distinct: each is read before written.
-                dict.update(nxt, zip(row, map(add, map(get, row, repeat(0)), weights)))
-        tally = nxt
-    return tally
-
-
 def _substitution(key) -> Callable:
     """``term·state`` as a function of the term's table: the table's entries
     at the state ``key``'s symbols, in ``key``'s form, by one C call."""
@@ -317,13 +296,29 @@ def _deck_symbols(n: int) -> tuple:
 
 
 def _fold(symbols: tuple, factors: list) -> Mapping:
-    """Raw tally of the product of ``factors``, each (raw terms, counts) as
-    ``_walk_tuples`` reads them, over the ``symbols`` of ``_deck_symbols``
-    or ``wreath._g_symbols``: the last factor's terms start the fold."""
+    """Raw tally of the product of ``factors``, each ``(raw terms, counts)``,
+    ``counts`` None when all are 1, over the ``symbols`` of ``_deck_symbols``
+    or ``wreath._g_symbols``.  The last factor's terms start the tally; each
+    term of the factor before composes once on the left of each distinct
+    state, by ``_substitution``, and the composite gains the state's count
+    times the term's, so every tuple of terms is tallied by its composite."""
     key, table, raw = symbols
     *rest, (terms, counts) = factors
-    start = dict(zip(map(key, terms), counts or repeat(1)))
-    return raw(_walk_tuples(start, ((list(map(table, t)), c) for t, c in reversed(rest))))
+    tally = dict(zip(map(key, terms), counts or repeat(1)))
+    for terms, counts in reversed(rest):
+        tables = list(map(table, terms))
+        nxt: Counter = Counter()
+        get = nxt.get
+        for state, count in tally.items():
+            row = list(map(_substitution(state), tables))
+            if counts is None and count == 1:
+                nxt.update(row)
+            else:
+                weights = map(mul, counts, repeat(count)) if counts else repeat(count)
+                # One state's composites are distinct: each is read before written.
+                dict.update(nxt, zip(row, map(add, map(get, row, repeat(0)), weights)))
+        tally = nxt
+    return raw(tally)
 
 
 def brute_force_product(

@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import starmap
 from operator import itemgetter
 from struct import iter_unpack
 from typing import Iterator, Mapping, Sequence
@@ -274,19 +273,6 @@ def _check_faces(gp: GPermutation, group: FiniteGroup) -> None:
         raise ValueError(f"face index out of range for a group of order {order}")
 
 
-# Raw form used in enumerations: (cards by position, faces by position), the
-# two columns of ``GPermutation.deck``.  Raw keys sort in canonical order.
-
-def _to_raw(gp: GPermutation) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    faces, cards = zip(*gp.deck)
-    return cards, faces
-
-
-def _from_raw(raw: tuple[tuple[int, ...], tuple[int, ...]]) -> GPermutation:
-    cards, faces = raw
-    return GPermutation(tuple(zip(faces, cards)))
-
-
 def g_compose(s: GPermutation, t: GPermutation, group: FiniteGroup) -> GPermutation:
     """Left-to-right product: position ``j`` holds the card that ``s`` holds
     at the position named by ``t``'s card at ``j``, its face times ``t``'s
@@ -324,8 +310,7 @@ def _g_symbols(n: int, cayley: tuple) -> tuple:
             keys = b"".join(tally)
             raws = zip(*[iter_unpack(f"{n}B", keys.translate(t)) for t in (cards, faces)])
         else:
-            getters = starmap(itemgetter, tally) if n > 1 else map(_substitution, tally)
-            raws = [(get(cards), get(faces)) for get in getters]
+            raws = [(get(cards), get(faces)) for get in map(_substitution, tally)]
         return dict(zip(raws, tally.values()))
 
     return (lambda r: form([(c - 1) * order + f for c, f in zip(*r)])), table, raw
@@ -336,12 +321,22 @@ class GAlgebraElement(_Element):
 
     __slots__ = ()
     _DECK = GPermutation
-    _encode = staticmethod(_to_raw)
-    _decode = staticmethod(_from_raw)
     _MISMATCH = "elements live in different algebras"
 
     def __init__(self, n: int, group: FiniteGroup, terms: Mapping[GPermutation, int]):
         self._store((n, _check_group(group)), terms)
+
+    @staticmethod
+    def _encode(gp: GPermutation) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The raw form of ``gp``: (cards by position, faces by position), the
+        two columns of ``GPermutation.deck``.  Raw keys sort in canonical order."""
+        faces, cards = zip(*gp.deck)
+        return cards, faces
+
+    @staticmethod
+    def _decode(raw: tuple[tuple[int, ...], tuple[int, ...]]) -> GPermutation:
+        cards, faces = raw
+        return GPermutation(tuple(zip(faces, cards)))
 
     def _check(self, gp: GPermutation) -> None:
         super()._check(gp)
@@ -373,7 +368,7 @@ def _hat_decks_raw(a: int, n: int, order: int) -> Iterator:
     spins = [f + (0,) * (n - a) for f in itertools.product(range(order), repeat=a)]
     touched, by_position = (1,) * a + (0,) * (n - a), {}
     for deck in _top_to_random_decks(a, n):
-        g = itemgetter(*[c - 1 for c in deck]) if n > 1 else tuple
+        g = _substitution([c - 1 for c in deck])
         key = g(touched)
         faces = by_position.get(key) or by_position.setdefault(key, list(map(g, spins)))
         yield from zip(itertools.repeat(deck), faces)

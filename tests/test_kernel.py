@@ -195,7 +195,7 @@ def reachable_names(fn):
 @pytest.mark.parametrize(
     "oracle",
     [
-        algebra._walk_tuples,
+        algebra._fold,
         algebra.brute_force_product,
         wreath.g_brute_force_product,
         wreath.factorization_counts_by_enumeration,
@@ -212,7 +212,7 @@ def test_oracle_guard_sees_the_closed_form_where_it_is_used():
     assert "_q_row" in reachable_names(wreath.g_expansion_element)
 
 
-FOLD = {"_walk_tuples", "_fold", "_substitution", "_deck_symbols", "_g_symbols"}
+FOLD = {"_fold", "_substitution", "_deck_symbols", "_g_symbols"}
 
 
 def test_compose_shares_nothing_with_the_fold():
