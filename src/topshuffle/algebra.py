@@ -12,7 +12,7 @@ suffixes, has every term of the next factor composed on its left.
 
 This module also holds what the plain and faced (``wreath``) algebras
 share: the element body ``_Element``, the body ``_shuffle_sums`` behind
-every builder of shuffle sums, and the fold ``_walk_tuples``, the one
+every builder of shuffle sums, and the fold ``_fold``, the one
 convolution kernel behind both oracles and both ``multiply`` and
 ``wreath.g_multiply``.  There a state is its symbols, as bytes while they
 fit in one, and a term is the table of symbols it substitutes for them
@@ -230,6 +230,7 @@ def _top_to_random_decks(a: int, n: int) -> list[tuple[int, ...]]:
 
 def _check_cap(required: int, cap: int, unit: str) -> None:
     """Refuse up front, never truncate, when ``required`` exceeds ``cap``."""
+    cap = _integer(cap)
     if required > cap:
         raise CapExceeded(required, cap, unit)
 
@@ -327,7 +328,7 @@ def brute_force_product(
     """Exact product of the spec's shuffle sums by exhaustive tuple count.
 
     Counts every tuple of factor terms once, through the fold over distinct
-    decks in ``_walk_tuples``.  Refuses up front (never truncates) when the
+    decks in ``_fold``.  Refuses up front (never truncates) when the
     tuple count exceeds ``cap``.
     """
     _check_cap(predicted_tuple_count(spec), cap, "tuples")

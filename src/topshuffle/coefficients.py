@@ -41,7 +41,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded
-from .permutations import Permutation, _integer, _json_list, is_term_of
+from .permutations import (
+    Permutation,
+    _integer,
+    _json_list,
+    is_term_of,
+    min_shuffle_size,
+)
 
 # A shuffle sequence: one permutation per round.
 ShuffleTuple = tuple[Permutation, ...]
@@ -91,6 +97,7 @@ class ShuffleSpec:
 
 def falling_factorial(m: int, l: int) -> int:
     """Injections of an ``l``-set into an ``m``-set: ``m!/(m-l)!``, 0 if ``l > m``."""
+    m, l = _integer(m), _integer(l)
     if m < 0 or l < 0:
         raise ValueError("arguments must be nonnegative")
     return math.perm(m, l)
@@ -115,6 +122,7 @@ def stirling2(k: int, j: int) -> int:
     Refused with ``CapExceeded`` when its ``k * j`` cells exceed
     ``STIRLING_CELL_CAP``.
     """
+    k, j = _integer(k), _integer(j)
     if k < 0 or j < 0:
         raise ValueError("arguments must be nonnegative")
     if j == 0 or j > k:
@@ -136,6 +144,7 @@ def _stirling_row(k: int, top: int) -> list[int]:
 def bell(k: int) -> int:
     """Partitions of a ``k``-set into any number of blocks, ``k >= 1``;
     refused with ``CapExceeded`` when ``k * k`` exceeds ``STIRLING_CELL_CAP``."""
+    k = _integer(k)
     if k < 1:
         raise ValueError("k must be at least 1")
     _check_cells(k * k)
@@ -155,7 +164,7 @@ def anchor_tuples(spec: ShuffleSpec, j: int) -> Iterator[tuple[int, ...]]:
             for tail in rec(sizes[1:], need - l):
                 yield (l, *tail)
 
-    return rec(spec.a[1:], j - spec.a[0])
+    return rec(spec.a[1:], _integer(j) - spec.a[0])
 
 
 def q_cardinality(spec: ShuffleSpec, j: int) -> int:
@@ -341,9 +350,12 @@ def phi(sigmas: Sequence[Permutation], spec: ShuffleSpec) -> SegmentedPartition:
     deck = range(1, n + 1)
     touched: list[int] = []  # the card each slot touched, slot by slot
     for sigma, ai in zip(sigmas, spec.a):
+        # ``min_shuffle_size`` refuses anything but a ``Permutation``; with
+        # ``1 <= ai <= n`` its bound alone decides ``is_term_of(sigma, ai)``.
+        shuffled = min_shuffle_size(sigma)
         if sigma.n != n:
             raise ValueError(f"deck size {sigma.n} does not match spec size {n}")
-        if not is_term_of(sigma, ai):
+        if shuffled > ai:
             raise ValueError(
                 f"{sigma.deck!r} cannot result from shuffling {ai} cards"
             )

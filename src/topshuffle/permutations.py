@@ -84,6 +84,7 @@ class Permutation:
 
 def identity(n: int) -> Permutation:
     """The sorted deck ``1 2 ... n``."""
+    n = _integer(n)
     if n < 1:
         raise ValueError("deck size must be at least 1")
     return Permutation(tuple(range(1, n + 1)))
@@ -95,6 +96,8 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     >>> compose(Permutation((2, 1, 3, 4)), Permutation((2, 3, 1, 4))).deck
     (1, 3, 2, 4)
     """
+    _expect(Permutation, p)
+    _expect(Permutation, q)
     if p.n != q.n:
         raise ValueError(f"deck sizes differ: {p.n} != {q.n}")
     return Permutation(_compose_decks(p.deck, q.deck))
@@ -102,6 +105,7 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
 
 def inverse(p: Permutation) -> Permutation:
     """The group inverse; its deck lists the positions ``p`` gives cards 1..n."""
+    _expect(Permutation, p)
     return Permutation(_inverse_deck(p.deck))
 
 
@@ -114,13 +118,18 @@ def min_shuffle_size(p: Permutation) -> int:
     yields 0; consumers clamp with ``max(1, _)`` when a size of at least
     one card is required.
     """
-    return p._min_shuffle
+    try:
+        return p._min_shuffle
+    except AttributeError:
+        # Only a ``Permutation`` has the attribute, so a deck pays nothing.
+        _expect(Permutation, p)
+        raise
 
 
 def is_term_of(p: Permutation, c: int) -> bool:
     """True iff ``p`` is reachable by removing cards ``1..c`` and reinserting
     them, i.e. iff ``p`` appears in ``algebra.top_to_random(c, n)``."""
-    return max(1, min_shuffle_size(p)) <= c <= p.n
+    return max(1, min_shuffle_size(p)) <= _integer(c) <= p.n
 
 
 @dataclass(frozen=True)
@@ -182,6 +191,7 @@ def as_injection(p: Permutation) -> Injection:
 def from_injection(inj: Injection, n: int) -> Permutation:
     """The unique deck of size ``n`` sending card ``i`` to ``inj.targets[i-1]``
     with the remaining cards left in increasing order."""
+    n = _integer(n)
     if any(t > n for t in inj.targets):
         raise ValueError(f"target position out of range for deck size {n}")
     deck = _deck_from_targets(inj.targets, n)
@@ -196,7 +206,7 @@ def from_injection(inj: Injection, n: int) -> Permutation:
 
 def all_permutations(n: int) -> Iterator[Permutation]:
     """Every deck of size ``n``, in canonical (lexicographic) order."""
-    for deck in itertools.permutations(range(1, n + 1)):
+    for deck in itertools.permutations(range(1, _integer(n) + 1)):
         yield Permutation(deck)
 
 
@@ -207,6 +217,14 @@ def _integer(x) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise ValueError(f"{x!r} is not an integer")
     return int(x)
+
+
+def _expect(cls: type, x):
+    """``x`` if it is a ``cls``; anything else, such as a faced deck where a
+    plain one belongs, raises ``ValueError``."""
+    if not isinstance(x, cls):
+        raise ValueError(f"expected a {cls.__name__}, got {x!r}")
+    return x
 
 
 # What ``int`` reads from a string, in ASCII digits.

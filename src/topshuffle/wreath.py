@@ -16,7 +16,7 @@ keyed by (cards by position, faces by position), the two columns of
 ``GPermutation.deck``, and its body is ``algebra._Element``.  Products
 follow the wreath rule ``(σ, f)(τ, g) = (στ, f^τ·g)``.  The oracle
 ``g_brute_force_product`` and ``g_multiply`` run in the one fold
-``algebra._walk_tuples``, which shares no code with ``expansion*`` or
+``algebra._fold``, which shares no code with ``expansion*`` or
 ``g_expansion*`` or with ``g_compose``; its symbol is a card with its face
 (``_g_symbols``).  The group is the faced decks of one card, so
 ``factorization_counts_by_enumeration`` is that oracle at ``n = 1``, where
@@ -47,6 +47,7 @@ from .algebra import (
 from .coefficients import ShuffleSpec
 from .permutations import (
     Permutation,
+    _expect,
     _integer,
     _json_list,
     _json_object,
@@ -122,6 +123,7 @@ class FiniteGroup:
         """Integers mod ``m`` under addition; refused with ``CapExceeded``
         before building when the ``m * m`` table cells exceed
         ``DEFAULT_TUPLE_CAP``."""
+        m = _integer(m)
         if m < 1:
             raise ValueError("order must be at least 1")
         _check_cap(m * m, DEFAULT_TUPLE_CAP, "table cells")
@@ -248,6 +250,7 @@ class GPermutation:
 
     @classmethod
     def identity(cls, n: int) -> "GPermutation":
+        n = _integer(n)
         if n < 1:
             raise ValueError("deck size must be at least 1")
         return cls(tuple((0, c) for c in range(1, n + 1)))
@@ -260,16 +263,9 @@ class GPermutation:
         return cls(tuple(_json_object(b, "face", "card") for b in _json_list(data)))
 
 
-def _check_group(group) -> FiniteGroup:
-    """The faced boundary's group check: ``group`` itself, if a ``FiniteGroup``."""
-    if not isinstance(group, FiniteGroup):
-        raise ValueError(f"expected a FiniteGroup, got {group!r}")
-    return group
-
-
 def _check_faces(gp: GPermutation, group: FiniteGroup) -> None:
-    order = _check_group(group).order
-    if any(f >= order for f, _ in gp.deck):
+    order = _expect(FiniteGroup, group).order
+    if any(f >= order for f, _ in _expect(GPermutation, gp).deck):
         raise ValueError(f"face index out of range for a group of order {order}")
 
 
@@ -277,10 +273,10 @@ def g_compose(s: GPermutation, t: GPermutation, group: FiniteGroup) -> GPermutat
     """Left-to-right product: position ``j`` holds the card that ``s`` holds
     at the position named by ``t``'s card at ``j``, its face times ``t``'s
     face at ``j``."""
-    if s.n != t.n:
-        raise ValueError(f"deck sizes differ: {s.n} != {t.n}")
     _check_faces(s, group)
     _check_faces(t, group)
+    if s.n != t.n:
+        raise ValueError(f"deck sizes differ: {s.n} != {t.n}")
     picked = [(s.deck[c - 1], f) for f, c in t.deck]
     return GPermutation(tuple((group.cayley[sf][f], sc) for (sf, sc), f in picked))
 
@@ -324,7 +320,7 @@ class GAlgebraElement(_Element):
     _MISMATCH = "elements live in different algebras"
 
     def __init__(self, n: int, group: FiniteGroup, terms: Mapping[GPermutation, int]):
-        self._store((n, _check_group(group)), terms)
+        self._store((n, _expect(FiniteGroup, group)), terms)
 
     @staticmethod
     def _encode(gp: GPermutation) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -379,7 +375,7 @@ def hat_top_to_random(a: int, n: int, group: FiniteGroup) -> GAlgebraElement:
     of their faces spun independently; untouched cards keep the identity
     face.  Has ``order**a * P(n, a)`` terms, all with coefficient 1;
     refused with ``CapExceeded`` above ``DEFAULT_TUPLE_CAP`` of them."""
-    spec, order = ShuffleSpec(n, (a,)), _check_group(group).order
+    spec, order = ShuffleSpec(n, (a,)), _expect(FiniteGroup, group).order
     decks = partial(_hat_decks_raw, order=order)
     tally = _shuffle_sums(spec.n, {spec.a[0]: 1}, decks, DEFAULT_TUPLE_CAP, order)
     return GAlgebraElement._of_tally((spec.n, group), tally)
@@ -400,9 +396,10 @@ def g_multiply(
 def factorization_count(l: int, g: int, group: FiniteGroup) -> int:
     """Number of ``l``-tuples of group elements whose product is ``g``:
     ``order**(l-1)``, the same for every ``g``."""
+    l, g = _integer(l), _integer(g)
     if l < 1:
         raise ValueError("tuple length must be at least 1")
-    if not 0 <= g < _check_group(group).order:
+    if not 0 <= g < _expect(FiniteGroup, group).order:
         raise ValueError(f"element {g} outside 0..{group.order - 1}")
     return group.order ** (l - 1)
 
@@ -413,6 +410,7 @@ def factorization_counts_by_enumeration(
     """Per-element tuple counts obtained by walking all ``order**l`` tuples;
     the independent check of ``factorization_count``, as the product of
     ``l`` one-card faced shuffle sums (the group is the one-card decks)."""
+    l = _integer(l)
     if l < 1:
         raise ValueError("tuple length must be at least 1")
     tally = g_brute_force_product(ShuffleSpec(1, (1,) * l), group, cap)._raw
@@ -422,7 +420,7 @@ def factorization_counts_by_enumeration(
 def predicted_g_tuple_count(spec: ShuffleSpec, group: FiniteGroup) -> int:
     """Faced term tuples a brute-force walk visits, which is also the number
     of faced outcome tuples: ``order**sum(a)`` times the plain count."""
-    return _check_group(group).order ** spec.total * predicted_tuple_count(spec)
+    return _expect(FiniteGroup, group).order ** spec.total * predicted_tuple_count(spec)
 
 
 def g_brute_force_product(
@@ -430,7 +428,7 @@ def g_brute_force_product(
 ) -> GAlgebraElement:
     """Exact product of the spec's faced shuffle sums by exhaustive count of
     all term tuples, through the fold over distinct states in
-    ``_walk_tuples``."""
+    ``_fold``."""
     _check_cap(predicted_g_tuple_count(spec, group), cap, "tuples")
     terms = {ai: list(_hat_decks_raw(ai, spec.n, group.order)) for ai in set(spec.a)}
     tally = _fold(_g_symbols(spec.n, group.cayley), [(terms[ai], None) for ai in spec.a])
@@ -441,7 +439,7 @@ def g_expansion(spec: ShuffleSpec, group: FiniteGroup) -> dict[int, int]:
     """Coefficients ``{c: count}`` with the product of the spec's faced
     shuffle sums equal to ``sum_c count * hat_top_to_random(c, n)``: the
     plain count at ``c`` times ``order**(sum(a) - c)``."""
-    order = _check_group(group).order
+    order = _expect(FiniteGroup, group).order
     return {c: q * order ** (spec.total - c) for c, q in expansion(spec).items()}
 
 
@@ -451,7 +449,7 @@ def g_expansion_element(
     """The faced expansion materialized as one element, for comparison
     against ``g_brute_force_product``.  Refuses up front when the faced
     shuffle sums it adds up have more than ``cap`` terms in total."""
-    decks = partial(_hat_decks_raw, order=_check_group(group).order)
+    decks = partial(_hat_decks_raw, order=_expect(FiniteGroup, group).order)
     tally = _shuffle_sums(spec.n, g_expansion(spec, group), decks, cap, group.order)
     return GAlgebraElement._of_tally((spec.n, group), tally)
 
@@ -462,7 +460,7 @@ def is_hat_term(target: GPermutation, c: int, group: FiniteGroup) -> bool:
     Needs the underlying deck to be reachable by a ``c``-card shuffle and
     every card beyond ``c`` to show the identity face.
     """
-    return max(1, _hat_floor(target, group)) <= c <= target.n
+    return max(1, _hat_floor(target, group)) <= _integer(c) <= target.n
 
 
 def _hat_floor(target: GPermutation, group: FiniteGroup) -> int:
@@ -490,7 +488,7 @@ def bar_lift(x, group: FiniteGroup, cap: int = DEFAULT_TUPLE_CAP) -> GAlgebraEle
     Refuses up front when the ``len(x) * order**n`` terms exceed ``cap``."""
     if not isinstance(x, AlgebraElement):
         raise ValueError(f"{x!r} is not an AlgebraElement")
-    _check_cap(len(x) * _check_group(group).order ** x.n, cap, "terms")
+    _check_cap(len(x) * _expect(FiniteGroup, group).order ** x.n, cap, "terms")
     spins = partial(itertools.product, range(group.order), repeat=x.n)
     terms = {(d, f): c for d, c in x._raw.items() for f in spins()}
     return GAlgebraElement._of_tally((x.n, group), terms)
@@ -511,5 +509,5 @@ def bar_lift_expansion(
     base = {r: _integer(c) for r, c in base_coefficients.items()}
     if any(c < 0 for c in base.values()):
         raise ValueError("base coefficients must be nonnegative")
-    factor = (_check_group(group).order ** (k - 1)) ** n
+    factor = (_expect(FiniteGroup, group).order ** (k - 1)) ** n
     return {r: c * factor for r, c in base.items()}

@@ -12,23 +12,42 @@ from topshuffle import (
     Injection,
     SegmentedPartition,
     ShuffleSpec,
+    all_permutations,
+    anchor_tuples,
+    as_injection,
     bar_lift,
     bar_lift_expansion,
     bell,
     brute_force_product,
     cli,
+    compose,
+    enumerate_segmented_partitions,
     expansion_element,
     factorization_count,
     factorization_counts_by_enumeration,
+    falling_factorial,
+    from_injection,
     g_brute_force_product,
+    g_compose,
     g_expansion,
     g_multiply,
+    g_probability_of,
+    g_ways_to_reach,
     hat_top_to_random,
     identity,
+    inverse,
+    is_hat_term,
+    is_term_of,
+    iter_segmented_partitions,
+    min_shuffle_size,
     multiply,
+    phi,
+    phi_inverse,
+    probability_of,
     q_cardinality,
     stirling2,
     top_to_random,
+    ways_to_reach,
 )
 from topshuffle.algebra import DEFAULT_TUPLE_CAP
 from topshuffle.coefficients import STIRLING_CELL_CAP
@@ -37,6 +56,8 @@ from topshuffle.wreath import g_expansion_element
 Z2 = FiniteGroup.cyclic(2)
 Z3 = FiniteGroup.cyclic(3)
 S3 = FiniteGroup.symmetric_3()
+SPEC = ShuffleSpec(3, (1, 1))
+FACED = GPermutation.identity(3)
 
 
 # Values are read through the integer check, never coerced ------------------------
@@ -89,6 +110,24 @@ def test_q_cardinality_reads_its_block_count_as_an_integer():
     for bad in [True, 2.5, "2"]:
         with pytest.raises(ValueError, match="not an integer"):
             q_cardinality(spec, bad)
+
+
+def test_integral_floats_give_the_integer_answer():
+    assert identity(2.0) == identity(2)
+    assert GPermutation.identity(2.0) == GPermutation.identity(2)
+    assert list(all_permutations(3.0)) == list(all_permutations(3))
+    assert from_injection(Injection(1, (2,)), 3.0) == from_injection(Injection(1, (2,)), 3)
+    assert falling_factorial(4.0, 2.0) == 12
+    assert stirling2(4.0, 2.0) == 7
+    assert bell(3.0) == 5
+    assert list(anchor_tuples(SPEC, 2.0)) == list(anchor_tuples(SPEC, 2))
+    assert enumerate_segmented_partitions(SPEC, 2.0) == enumerate_segmented_partitions(
+        SPEC, 2
+    )
+    count = factorization_count(2.0, 1.0, Z3)
+    assert count == 3 and type(count) is int
+    assert factorization_counts_by_enumeration(2.0, Z2) == (2, 2)
+    assert FiniteGroup.cyclic(3.0) == Z3
 
 
 def test_bar_lift_expansion_reads_integers():
@@ -148,6 +187,19 @@ def test_cli_reports_the_unit(capsys):
         lambda: Injection(1, (0,)),
         lambda: Injection(2, (3, 3)),
         lambda: identity(0),
+        lambda: identity(True),
+        lambda: identity(2.5),
+        lambda: list(all_permutations(2.5)),
+        lambda: from_injection(Injection(1, (2,)), 2.5),
+        lambda: is_term_of(identity(3), 2.5),
+        lambda: is_term_of(identity(3), True),
+        lambda: is_term_of(identity(3), "2"),
+        lambda: min_shuffle_size(FACED),
+        lambda: is_term_of(FACED, 1),
+        lambda: as_injection(FACED),
+        lambda: compose(FACED, FACED),
+        lambda: compose(identity(3), FACED),
+        lambda: inverse(FACED),
     ],
 )
 def test_permutations_refuse(call):
@@ -170,10 +222,47 @@ def test_coefficients_refuse(call):
 @pytest.mark.parametrize(
     "call",
     [
+        lambda: falling_factorial(2.5, 1),
+        lambda: falling_factorial(True, 1),
+        lambda: stirling2(True, 1),
+        lambda: stirling2(2.5, 1),
+        lambda: bell(2.5),
+        lambda: bell(True),
+        lambda: list(anchor_tuples(SPEC, True)),
+        lambda: list(iter_segmented_partitions(SPEC, True)),
+        lambda: phi([1, 2], SPEC),
+        lambda: phi((FACED, FACED), SPEC),
+        lambda: phi_inverse(phi((identity(3),) * 2, SPEC), FACED, SPEC),
+    ],
+)
+def test_coefficients_refuse_bad_arguments(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ways_to_reach(FACED, SPEC),
+        lambda: probability_of(FACED, SPEC),
+        lambda: g_ways_to_reach(identity(3), SPEC, Z2),
+        lambda: g_probability_of(identity(3), SPEC, Z2),
+    ],
+)
+def test_probability_refuses(call):
+    with pytest.raises(ValueError, match="expected a"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
         lambda: AlgebraElement(0, {}),
         lambda: GAlgebraElement(0, Z2, {}),
         lambda: top_to_random(1, 2).scale(-1),
         lambda: hat_top_to_random(1, 2, Z2).scale(-1),
+        lambda: brute_force_product(ShuffleSpec(2, (1,)), cap=2.5),
+        lambda: multiply(top_to_random(1, 2), top_to_random(1, 2), cap=True),
     ],
 )
 def test_algebra_refuses(call):
@@ -203,6 +292,19 @@ def test_algebra_refuses(call):
         lambda: g_expansion(ShuffleSpec(2, (1,)), "Z2"),
         lambda: bar_lift(top_to_random(1, 2), "Z2"),
         lambda: factorization_counts_by_enumeration(2, "Z2"),
+        lambda: factorization_count(2.5, 0, Z2),
+        lambda: factorization_count(True, 0, Z2),
+        lambda: factorization_count(1, True, Z2),
+        lambda: factorization_counts_by_enumeration(True, Z2),
+        lambda: FiniteGroup.cyclic(True),
+        lambda: FiniteGroup.cyclic(2.5),
+        lambda: GPermutation.identity(True),
+        lambda: GPermutation.identity(2.5),
+        lambda: is_hat_term(FACED, True, Z2),
+        lambda: is_hat_term(FACED, 2.5, Z2),
+        lambda: is_hat_term(identity(3), 1, Z2),
+        lambda: g_compose(identity(3), identity(3), Z2),
+        lambda: g_compose(FACED, identity(3), Z2),
     ],
 )
 def test_wreath_refuses(call):
