@@ -6,9 +6,11 @@ Products of such sums collapse back to a combination of single
 top-to-random sums; ``expansion`` reads those coefficients off one
 round-partition count row (``coefficients._q_row``), while
 ``brute_force_product`` provides the independent check by counting every
-tuple of factor terms by its composite, in a fold over the factors from
-last to first: each distinct deck reached so far, with its number of tuple
-suffixes, has every term of the next factor composed on its left.
+tuple of factor terms by its composite, in a fold over single-card
+insertions from the last to the first: ``top_to_random(a, n)`` is
+``Y_a ⋯ Y_1`` in performance order (``_insertion_decks``), and each
+distinct deck reached so far, with its number of tuple suffixes, has every
+term of the next insertion composed on its left.
 
 This module also holds what the plain and faced (``wreath``) algebras
 share: the element body ``_Element``, the body ``_shuffle_sums`` behind
@@ -17,8 +19,9 @@ convolution kernel behind both oracles and both ``multiply`` and
 ``wreath.g_multiply``.  There a state is its symbols, as bytes while they
 fit in one, and a term is the table of symbols it substitutes for them
 (``_substitution``).  The fold shares no code with ``expansion``,
-``expansion_element`` or ``wreath.g_expansion*``, so the oracle stays an
-independent check of the closed form.
+``expansion_element`` or ``wreath.g_expansion*``, and the oracles' terms
+do not come from the shuffle sums those add up (``_top_to_random_decks``),
+so the oracle stays an independent check of the closed form.
 
 An element stores only its raw tally, deck tuple to count, and decodes it
 through the checked constructors each time its terms are read.  ``==``,
@@ -228,6 +231,14 @@ def _top_to_random_decks(a: int, n: int) -> list[tuple[int, ...]]:
     return [d[:i] + (1,) + d[i:] for i in range(n) for d in rest]
 
 
+def _insertion_decks(m: int, n: int) -> list[tuple[int, ...]]:
+    """Raw decks of the single-card insertion ``Y_m``: the card at position
+    ``m`` moves to each position ``p >= m`` in turn, and the cards it passes
+    move up one."""
+    deck = tuple(range(1, n + 1))
+    return [deck[: m - 1] + deck[m:p] + (m,) + deck[p:] for p in range(m, n + 1)]
+
+
 def _check_cap(required: int, cap: int, unit: str) -> None:
     """Refuse up front, never truncate, when ``required`` exceeds ``cap``."""
     cap = _integer(cap)
@@ -300,24 +311,39 @@ def _fold(symbols: tuple, factors: list) -> Mapping:
     """Raw tally of the product of ``factors``, each ``(raw terms, counts)``,
     ``counts`` None when all are 1, over the ``symbols`` of ``_deck_symbols``
     or ``wreath._g_symbols``.  The last factor's terms start the tally; each
-    term of the factor before composes once on the left of each distinct
-    state, by ``_substitution``, and the composite gains the state's count
-    times the term's, so every tuple of terms is tallied by its composite."""
+    term of the factor before composes on the left of each distinct state,
+    and the composite gains the state's count times the term's, so every
+    tuple of terms is tallied by its composite.  A factor costs its terms
+    times the distinct states ``S'`` held when the fold reaches it, at most
+    ``S'·(n-m+1)·order`` for an insertion ``Y_m``.  Each row of composites
+    is one C pass: one term's table translating every state while the
+    states are bytes and outnumber the terms, as in the oracles, else one
+    state's getter (``_substitution``) over every table."""
     key, table, raw = symbols
     *rest, (terms, counts) = factors
     tally = dict(zip(map(key, terms), counts or repeat(1)))
     for terms, counts in reversed(rest):
-        tables = list(map(table, terms))
+        states, tables = list(tally), list(map(table, terms))
+        weights = list(tally.values()) if max(tally.values(), default=1) > 1 else None
+        if len(tables) < len(states) and type(states[0]) is bytes:
+            rows = (map(bytes.translate, states, repeat(t)) for t in tables)
+            inner, outer = weights, counts
+        else:
+            rows = (map(_substitution(s), tables) for s in states)
+            inner, outer = counts, weights
         nxt: Counter = Counter()
         get = nxt.get
-        for state, count in tally.items():
-            row = list(map(_substitution(state), tables))
-            if counts is None and count == 1:
-                nxt.update(row)
+        for row, c in zip(rows, outer or repeat(1)):
+            row = list(row)
+            if inner is None:
+                if c == 1:
+                    nxt.update(row)
+                    continue
+                w = repeat(c)
             else:
-                weights = map(mul, counts, repeat(count)) if counts else repeat(count)
-                # One state's composites are distinct: each is read before written.
-                dict.update(nxt, zip(row, map(add, map(get, row, repeat(0)), weights)))
+                w = inner if c == 1 else map(mul, inner, repeat(c))
+            # One row's composites are distinct: each is read before written.
+            dict.update(nxt, zip(row, map(add, map(get, row, repeat(0)), w)))
         tally = nxt
     return raw(tally)
 
@@ -328,13 +354,13 @@ def brute_force_product(
     """Exact product of the spec's shuffle sums by exhaustive tuple count.
 
     Counts every tuple of factor terms once, through the fold over distinct
-    decks in ``_fold``.  Refuses up front (never truncates) when the
-    tuple count exceeds ``cap``.
+    decks in ``_fold``, one single-card insertion at a time.  Refuses up
+    front (never truncates) when the tuple count exceeds ``cap``.
     """
     _check_cap(predicted_tuple_count(spec), cap, "tuples")
-    terms = {ai: _top_to_random_decks(ai, spec.n) for ai in set(spec.a)}
-    tally = _fold(_deck_symbols(spec.n), [(terms[ai], None) for ai in spec.a])
-    return AlgebraElement._of_tally((spec.n,), tally)
+    n = spec.n
+    factors = [(_insertion_decks(m, n), None) for ai in spec.a for m in range(ai, 0, -1)]
+    return AlgebraElement._of_tally((n,), _fold(_deck_symbols(n), factors))
 
 
 def expansion(spec: ShuffleSpec) -> dict[int, int]:

@@ -66,10 +66,10 @@ class Permutation:
 
     def position_of(self, card: int) -> int:
         """Position to which this permutation sends ``card``."""
-        return self.deck.index(card) + 1
+        return self.deck.index(_in_range(card, 1, self.n, "card")) + 1
 
     def card_at(self, position: int) -> int:
-        return self.deck[position - 1]
+        return self.deck[_in_range(position, 1, self.n, "position") - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         return compose(self, other)
@@ -217,6 +217,14 @@ def _integer(x) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise ValueError(f"{x!r} is not an integer")
     return int(x)
+
+
+def _in_range(x, lo: int, hi: int, what: str) -> int:
+    """``x`` as an int in ``lo..hi``; anything else raises ``ValueError``."""
+    x = _integer(x)
+    if not lo <= x <= hi:
+        raise ValueError(f"{what} {x} outside {lo}..{hi}")
+    return x
 
 
 def _expect(cls: type, x):

@@ -19,6 +19,7 @@ from .algebra import predicted_tuple_count
 from .coefficients import ShuffleSpec, _q_row
 from .permutations import (
     Permutation,
+    _expect,
     _int_str,
     _json_integer,
     _json_object,
@@ -42,7 +43,7 @@ def _tail_ways(spec: ShuffleSpec, n: int, floor: int, order: int = 1) -> int:
 
 def ways_to_reach(target: Permutation, spec: ShuffleSpec) -> int:
     """Number of outcome tuples of the shuffle sequence producing ``target``."""
-    return _tail_ways(spec, target.n, min_shuffle_size(target))
+    return _tail_ways(spec, _expect(Permutation, target).n, min_shuffle_size(target))
 
 
 def probability_of(target: Permutation, spec: ShuffleSpec) -> Fraction:
@@ -60,7 +61,8 @@ def g_ways_to_reach(
     partition count times ``order**(sum(a)-c)``.  Targets showing a
     non-identity face on a never-touched card simply count 0.
     """
-    return _tail_ways(spec, target.n, _hat_floor(target, group), group.order)
+    n = _expect(GPermutation, target).n
+    return _tail_ways(spec, n, _hat_floor(target, group), group.order)
 
 
 def g_probability_of(

@@ -18,7 +18,10 @@ follow the wreath rule ``(σ, f)(τ, g) = (στ, f^τ·g)``.  The oracle
 ``g_brute_force_product`` and ``g_multiply`` run in the one fold
 ``algebra._fold``, which shares no code with ``expansion*`` or
 ``g_expansion*`` or with ``g_compose``; its symbol is a card with its face
-(``_g_symbols``).  The group is the faced decks of one card, so
+(``_g_symbols``).  The oracle folds over faced single-card insertions
+(``_hat_insertions``): ``hat_top_to_random(a, n)`` is ``Y_a ⋯ Y_1``, where
+``Y_m`` moves the card at position ``m`` to a position ``p >= m`` and spins
+that card only.  The group is the faced decks of one card, so
 ``factorization_counts_by_enumeration`` is that oracle at ``n = 1``, where
 a term's table is its face's Cayley row.
 """
@@ -38,6 +41,7 @@ from .algebra import (
     _Element,
     _check_cap,
     _fold,
+    _insertion_decks,
     _shuffle_sums,
     _substitution,
     _top_to_random_decks,
@@ -48,6 +52,7 @@ from .coefficients import ShuffleSpec
 from .permutations import (
     Permutation,
     _expect,
+    _in_range,
     _integer,
     _json_list,
     _json_object,
@@ -102,10 +107,14 @@ class FiniteGroup:
         return len(self.cayley)
 
     def mul(self, a: int, b: int) -> int:
-        return self.cayley[a][b]
+        return self.cayley[self._element(a)][self._element(b)]
 
     def inv(self, a: int) -> int:
-        return self.inverse[a]
+        return self.inverse[self._element(a)]
+
+    def _element(self, a) -> int:
+        """``a`` as an element index; anything outside ``0..order-1`` raises."""
+        return _in_range(a, 0, self.order - 1, "element")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteGroup):
@@ -232,12 +241,14 @@ class GPermutation:
         return Permutation(tuple(c for _, c in self.deck))
 
     def position_of(self, card: int) -> int:
+        card = _integer(card)
         for i, (_, c) in enumerate(self.deck):
             if c == card:
                 return i + 1
         raise ValueError(f"no card {card}")
 
     def face_of(self, card: int) -> int:
+        card = _integer(card)
         for f, c in self.deck:
             if c == card:
                 return f
@@ -370,6 +381,18 @@ def _hat_decks_raw(a: int, n: int, order: int) -> Iterator:
         yield from zip(itertools.repeat(deck), faces)
 
 
+def _hat_insertions(m: int, n: int, order: int) -> list:
+    """Raw terms of the faced insertion ``Y_m``: each of ``_insertion_decks``
+    with every face on the card it moves, which lands at ``p``, and the
+    identity face on every other card."""
+    zeros = (0,) * n
+    return [
+        (deck, zeros[: p - 1] + (f,) + zeros[p:])
+        for p, deck in enumerate(_insertion_decks(m, n), m)
+        for f in range(order)
+    ]
+
+
 def hat_top_to_random(a: int, n: int, group: FiniteGroup) -> GAlgebraElement:
     """Sum of every deck reachable by reinserting cards ``1..a`` with each
     of their faces spun independently; untouched cards keep the identity
@@ -396,11 +419,10 @@ def g_multiply(
 def factorization_count(l: int, g: int, group: FiniteGroup) -> int:
     """Number of ``l``-tuples of group elements whose product is ``g``:
     ``order**(l-1)``, the same for every ``g``."""
-    l, g = _integer(l), _integer(g)
+    l = _integer(l)
     if l < 1:
         raise ValueError("tuple length must be at least 1")
-    if not 0 <= g < _expect(FiniteGroup, group).order:
-        raise ValueError(f"element {g} outside 0..{group.order - 1}")
+    _expect(FiniteGroup, group)._element(g)
     return group.order ** (l - 1)
 
 
@@ -427,11 +449,14 @@ def g_brute_force_product(
     spec: ShuffleSpec, group: FiniteGroup, cap: int = DEFAULT_TUPLE_CAP
 ) -> GAlgebraElement:
     """Exact product of the spec's faced shuffle sums by exhaustive count of
-    all term tuples, through the fold over distinct states in
-    ``_fold``."""
+    all term tuples, through the fold over distinct states in ``_fold``,
+    one faced single-card insertion at a time."""
     _check_cap(predicted_g_tuple_count(spec, group), cap, "tuples")
-    terms = {ai: list(_hat_decks_raw(ai, spec.n, group.order)) for ai in set(spec.a)}
-    tally = _fold(_g_symbols(spec.n, group.cayley), [(terms[ai], None) for ai in spec.a])
+    n, order = spec.n, group.order
+    factors = [
+        (_hat_insertions(m, n, order), None) for ai in spec.a for m in range(ai, 0, -1)
+    ]
+    tally = _fold(_g_symbols(n, group.cayley), factors)
     return GAlgebraElement._of_tally((spec.n, group), tally)
 
 

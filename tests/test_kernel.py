@@ -201,10 +201,20 @@ def reachable_names(fn):
         wreath.factorization_counts_by_enumeration,
         algebra._substitution,
         wreath._g_symbols,
+        algebra._insertion_decks,
+        wreath._hat_insertions,
     ],
 )
 def test_oracle_never_reaches_the_closed_form(oracle):
     assert not reachable_names(oracle) & CLOSED_FORM
+
+
+def test_oracles_take_their_terms_from_the_insertions():
+    # The shuffle sums that ``expansion_element`` adds up come from these two.
+    shuffle_sums = {"_top_to_random_decks", "_hat_decks_raw"}
+    assert shuffle_sums <= reachable_names(wreath.g_expansion_element)
+    for oracle in (algebra.brute_force_product, wreath.g_brute_force_product):
+        assert not reachable_names(oracle) & shuffle_sums
 
 
 def test_oracle_guard_sees_the_closed_form_where_it_is_used():

@@ -128,6 +128,8 @@ def test_integral_floats_give_the_integer_answer():
     assert count == 3 and type(count) is int
     assert factorization_counts_by_enumeration(2.0, Z2) == (2, 2)
     assert FiniteGroup.cyclic(3.0) == Z3
+    assert identity(3).card_at(2.0) == 2 and identity(3).position_of(3.0) == 3
+    assert Z3.mul(1.0, 2.0) == 0 and Z3.inv(1.0) == 2
 
 
 def test_bar_lift_expansion_reads_integers():
@@ -200,6 +202,14 @@ def test_cli_reports_the_unit(capsys):
         lambda: compose(FACED, FACED),
         lambda: compose(identity(3), FACED),
         lambda: inverse(FACED),
+        lambda: identity(3).card_at(0),
+        lambda: identity(3).card_at(-1),
+        lambda: identity(3).card_at(4),
+        lambda: identity(3).card_at(True),
+        lambda: identity(3).card_at(1.5),
+        lambda: identity(3).position_of(0),
+        lambda: identity(3).position_of(4),
+        lambda: identity(3).position_of(True),
     ],
 )
 def test_permutations_refuse(call):
@@ -247,6 +257,10 @@ def test_coefficients_refuse_bad_arguments(call):
         lambda: probability_of(FACED, SPEC),
         lambda: g_ways_to_reach(identity(3), SPEC, Z2),
         lambda: g_probability_of(identity(3), SPEC, Z2),
+        lambda: ways_to_reach([1, 2], ShuffleSpec(2, (1,))),
+        lambda: probability_of([1, 2], ShuffleSpec(2, (1,))),
+        lambda: g_ways_to_reach([1, 2], ShuffleSpec(2, (1,)), Z3),
+        lambda: g_probability_of([1, 2], ShuffleSpec(2, (1,)), Z3),
     ],
 )
 def test_probability_refuses(call):
@@ -305,6 +319,14 @@ def test_algebra_refuses(call):
         lambda: is_hat_term(identity(3), 1, Z2),
         lambda: g_compose(identity(3), identity(3), Z2),
         lambda: g_compose(FACED, identity(3), Z2),
+        lambda: Z3.mul(-1, 1),
+        lambda: Z3.mul(1, 3),
+        lambda: Z3.mul(True, 1),
+        lambda: Z3.inv(-1),
+        lambda: Z3.inv(3),
+        lambda: Z3.inv(1.5),
+        lambda: FACED.position_of(True),
+        lambda: FACED.face_of(True),
     ],
 )
 def test_wreath_refuses(call):
