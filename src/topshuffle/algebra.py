@@ -36,15 +36,16 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from collections.abc import Callable, Mapping, Sequence
 from itertools import repeat
 from operator import add, attrgetter, itemgetter, mul
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
 
 from .coefficients import ShuffleSpec, _q_row
-from .errors import CapExceeded
+from .errors import _check_cap
 from .permutations import (
     Permutation,
+    _expect,
     _int_str,
     _integer,
     _json_integer,
@@ -95,7 +96,7 @@ class _Element:
         if n < 1:
             raise ValueError("deck size must be at least 1")
         self.n, self._space, self._raw = n, space, {}
-        for p, c in terms.items():
+        for p, c in _expect(Mapping, terms).items():
             c = _integer(c)
             if c < 0:
                 raise ValueError("coefficients must be nonnegative")
@@ -239,13 +240,6 @@ def _insertion_decks(m: int, n: int) -> list[tuple[int, ...]]:
     return [deck[: m - 1] + deck[m:p] + (m,) + deck[p:] for p in range(m, n + 1)]
 
 
-def _check_cap(required: int, cap: int, unit: str) -> None:
-    """Refuse up front, never truncate, when ``required`` exceeds ``cap``."""
-    cap = _integer(cap)
-    if required > cap:
-        raise CapExceeded(required, cap, unit)
-
-
 def _shuffle_sums(n: int, counts: Mapping[int, int], decks, cap: int, order: int = 1):
     """Raw tally of ``sum_j counts[j] * (size-j shuffle sum)``, where
     ``decks(j, n)`` lists the ``P(n, j) * order**j`` raw terms of the size-j
@@ -260,12 +254,9 @@ def _shuffle_sums(n: int, counts: Mapping[int, int], decks, cap: int, order: int
 
 
 def top_to_random(a: int, n: int) -> AlgebraElement:
-    """Sum of all P(n, a) decks reachable by reinserting cards ``1..a``;
-    refused with ``CapExceeded`` above ``DEFAULT_TUPLE_CAP`` terms."""
-    spec = ShuffleSpec(n, (a,))
-    n, a = spec.n, spec.a[0]
-    tally = _shuffle_sums(n, {a: 1}, _top_to_random_decks, DEFAULT_TUPLE_CAP)
-    return AlgebraElement._of_tally((n,), tally)
+    """Sum of all P(n, a) decks reachable by reinserting cards ``1..a``: the
+    one-shuffle expansion, refused above ``DEFAULT_TUPLE_CAP`` terms."""
+    return expansion_element(ShuffleSpec(n, (a,)), DEFAULT_TUPLE_CAP)
 
 
 def multiply(
@@ -280,10 +271,11 @@ def multiply(
     return AlgebraElement._of_tally(x._space, _fold(_deck_symbols(x.n), factors))
 
 
-def predicted_tuple_count(spec: ShuffleSpec) -> int:
-    """Number of term tuples a brute-force walk of the product counts, which
-    is also the number of equally likely outcome tuples: prod of P(n, a_i)."""
-    return math.prod(math.perm(spec.n, ai) for ai in spec.a)
+def total_outcomes(spec: ShuffleSpec) -> int:
+    """Number of equally likely outcome tuples, which is also the number of
+    term tuples ``brute_force_product`` counts: prod of P(n, a_i)."""
+    n = _expect(ShuffleSpec, spec).n
+    return math.prod(math.perm(n, ai) for ai in spec.a)
 
 
 def _substitution(key) -> Callable:
@@ -357,7 +349,7 @@ def brute_force_product(
     decks in ``_fold``, one single-card insertion at a time.  Refuses up
     front (never truncates) when the tuple count exceeds ``cap``.
     """
-    _check_cap(predicted_tuple_count(spec), cap, "tuples")
+    _check_cap(total_outcomes(spec), cap, "tuples")
     n = spec.n
     factors = [(_insertion_decks(m, n), None) for ai in spec.a for m in range(ai, 0, -1)]
     return AlgebraElement._of_tally((n,), _fold(_deck_symbols(n), factors))
@@ -367,7 +359,7 @@ def expansion(spec: ShuffleSpec) -> dict[int, int]:
     """Coefficients ``{j: count}`` with the product of the spec's shuffle
     sums equal to ``sum_j count * top_to_random(j, n)``; keys are exactly
     the ``j`` in ``[max(a), min(sum(a), n)]`` with a nonzero count."""
-    row = _q_row(spec.a, spec.j_max)
+    row = _q_row(_expect(ShuffleSpec, spec).a, spec.j_max)
     return {j: c for j in range(spec.j_min, spec.j_max + 1) if (c := row[j])}
 
 
@@ -377,5 +369,6 @@ def expansion_element(
     """The expansion materialized as a single element, for comparison
     against ``brute_force_product``.  Refuses up front when the shuffle
     sums it adds up have more than ``cap`` terms in total."""
-    tally = _shuffle_sums(spec.n, expansion(spec), _top_to_random_decks, cap)
-    return AlgebraElement._of_tally((spec.n,), tally)
+    n = _expect(ShuffleSpec, spec).n
+    tally = _shuffle_sums(n, expansion(spec), _top_to_random_decks, cap)
+    return AlgebraElement._of_tally((n,), tally)

@@ -40,9 +40,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapExceeded
+from .errors import _check_cap
 from .permutations import (
     Permutation,
+    _expect,
     _integer,
     _json_list,
     is_term_of,
@@ -109,11 +110,6 @@ def falling_factorial(m: int, l: int) -> int:
 STIRLING_CELL_CAP = 4 * 10**6
 
 
-def _check_cells(cells: int) -> None:
-    if cells > STIRLING_CELL_CAP:
-        raise CapExceeded(cells, STIRLING_CELL_CAP, "Stirling recurrence cells")
-
-
 def stirling2(k: int, j: int) -> int:
     """Partitions of a ``k``-set into exactly ``j`` nonempty blocks.
 
@@ -127,7 +123,7 @@ def stirling2(k: int, j: int) -> int:
         raise ValueError("arguments must be nonnegative")
     if j == 0 or j > k:
         return int(k == j)
-    _check_cells(k * j)
+    _check_cap(k * j, STIRLING_CELL_CAP, "Stirling recurrence cells")
     return _stirling_row(k, j)[j]
 
 
@@ -147,7 +143,7 @@ def bell(k: int) -> int:
     k = _integer(k)
     if k < 1:
         raise ValueError("k must be at least 1")
-    _check_cells(k * k)
+    _check_cap(k * k, STIRLING_CELL_CAP, "Stirling recurrence cells")
     return sum(_stirling_row(k, k))
 
 
@@ -164,12 +160,14 @@ def anchor_tuples(spec: ShuffleSpec, j: int) -> Iterator[tuple[int, ...]]:
             for tail in rec(sizes[1:], need - l):
                 yield (l, *tail)
 
-    return rec(spec.a[1:], _integer(j) - spec.a[0])
+    a = _expect(ShuffleSpec, spec).a
+    return rec(a[1:], _integer(j) - a[0])
 
 
 def q_cardinality(spec: ShuffleSpec, j: int) -> int:
     """Number of ``j``-block round-partitions for this shuffle sequence;
     0 outside the reachable range ``[max(a), min(sum(a), n)]``."""
+    _expect(ShuffleSpec, spec)
     j = _integer(j)
     if j < spec.j_min or j > spec.j_max:
         return 0
@@ -285,7 +283,7 @@ def respects_rounds(alpha: SegmentedPartition, spec: ShuffleSpec) -> bool:
     Together with having the right size, this characterizes the partitions
     reachable from shuffle sequences of the given sizes.
     """
-    return alpha.size == spec.total and all(
+    return alpha.size == _expect(ShuffleSpec, spec).total and all(
         len(set(top)) == len(top) for top in _round_slices(alpha, spec)
     )
 
@@ -296,7 +294,8 @@ def anchor_signature(alpha: SegmentedPartition, spec: ShuffleSpec) -> tuple[int,
     Labels are numbered by minima, so the blocks opened by the end of a
     round are the largest label seen so far.
     """
-    opened = list(itertools.accumulate(map(max, _round_slices(alpha, spec)), max))
+    tops = _round_slices(alpha, _expect(ShuffleSpec, spec))
+    opened = list(itertools.accumulate(map(max, tops), max))
     return tuple(b - a for a, b in zip(opened, opened[1:]))
 
 
@@ -309,7 +308,7 @@ def iter_segmented_partitions(
 
     No deck-size truncation is applied here; callers pass ``j <= n``.
     """
-    a = spec.a
+    a = _expect(ShuffleSpec, spec).a
     bounds = spec.bounds()
     rounds = [range(lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]  # 0-based
     for ls in anchor_tuples(spec, j):
@@ -344,7 +343,7 @@ def phi(sigmas: Sequence[Permutation], spec: ShuffleSpec) -> SegmentedPartition:
     Simulates the rounds on the sorted deck; slot ``e``'s label is the card
     it touched, and the number of blocks is the number of cards touched.
     """
-    if len(sigmas) != spec.k:
+    if len(sigmas) != _expect(ShuffleSpec, spec).k:
         raise ValueError(f"expected {spec.k} shuffles, got {len(sigmas)}")
     n = spec.n
     deck = range(1, n + 1)
@@ -377,8 +376,8 @@ def phi_inverse(
     lists each current card's position in it.  The unwound deck must end
     sorted.
     """
-    n = spec.n
-    if t.n != n:
+    n = _expect(ShuffleSpec, spec).n
+    if _expect(Permutation, t).n != n:
         raise ValueError(f"deck size {t.n} does not match spec size {n}")
     tops = _round_slices(alpha, spec)
     if not is_term_of(t, alpha.j):

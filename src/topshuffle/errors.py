@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and ``_check_cap``, the one up-front cap check."""
+
+from .permutations import _integer
 
 
 class CapExceeded(RuntimeError):
@@ -12,3 +14,10 @@ class CapExceeded(RuntimeError):
     def __init__(self, required: int, cap: int, unit: str):
         super().__init__(f"{required} {unit} needed, above the cap of {cap}")
         self.required, self.cap, self.unit = required, cap, unit
+
+
+def _check_cap(required: int, cap: int, unit: str) -> None:
+    """Refuse up front, never truncate, when ``required`` exceeds ``cap``."""
+    cap = _integer(cap)
+    if required > cap:
+        raise CapExceeded(required, cap, unit)

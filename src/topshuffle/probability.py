@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import predicted_tuple_count
+from .algebra import total_outcomes
 from .coefficients import ShuffleSpec, _q_row
 from .permutations import (
     Permutation,
@@ -25,16 +25,11 @@ from .permutations import (
     _json_object,
     min_shuffle_size,
 )
-from .wreath import FiniteGroup, GPermutation, _hat_floor, predicted_g_tuple_count
-
-
-# Outcome tuples are the tuples the oracle walk visits; one count serves both.
-total_outcomes = predicted_tuple_count
-g_total_outcomes = predicted_g_tuple_count
+from .wreath import FiniteGroup, GPermutation, _hat_floor, g_total_outcomes
 
 
 def _tail_ways(spec: ShuffleSpec, n: int, floor: int, order: int = 1) -> int:
-    if n != spec.n:
+    if n != _expect(ShuffleSpec, spec).n:
         raise ValueError(f"deck size {n} does not match spec size {spec.n}")
     lo = max(spec.j_min, floor)
     row = _q_row(spec.a, spec.j_max)[lo:]

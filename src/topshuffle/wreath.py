@@ -39,16 +39,16 @@ from .algebra import (
     DEFAULT_TUPLE_CAP,
     AlgebraElement,
     _Element,
-    _check_cap,
     _fold,
     _insertion_decks,
     _shuffle_sums,
     _substitution,
     _top_to_random_decks,
     expansion,
-    predicted_tuple_count,
+    total_outcomes,
 )
 from .coefficients import ShuffleSpec
+from .errors import _check_cap
 from .permutations import (
     Permutation,
     _expect,
@@ -57,6 +57,7 @@ from .permutations import (
     _json_list,
     _json_object,
     _min_shuffle_raw,
+    identity,
 )
 
 
@@ -261,10 +262,7 @@ class GPermutation:
 
     @classmethod
     def identity(cls, n: int) -> "GPermutation":
-        n = _integer(n)
-        if n < 1:
-            raise ValueError("deck size must be at least 1")
-        return cls(tuple((0, c) for c in range(1, n + 1)))
+        return cls.plain(identity(n))
 
     def as_json(self) -> list[dict]:
         return [{"face": f, "card": c} for f, c in self.deck]
@@ -394,14 +392,11 @@ def _hat_insertions(m: int, n: int, order: int) -> list:
 
 
 def hat_top_to_random(a: int, n: int, group: FiniteGroup) -> GAlgebraElement:
-    """Sum of every deck reachable by reinserting cards ``1..a`` with each
-    of their faces spun independently; untouched cards keep the identity
-    face.  Has ``order**a * P(n, a)`` terms, all with coefficient 1;
-    refused with ``CapExceeded`` above ``DEFAULT_TUPLE_CAP`` of them."""
-    spec, order = ShuffleSpec(n, (a,)), _expect(FiniteGroup, group).order
-    decks = partial(_hat_decks_raw, order=order)
-    tally = _shuffle_sums(spec.n, {spec.a[0]: 1}, decks, DEFAULT_TUPLE_CAP, order)
-    return GAlgebraElement._of_tally((spec.n, group), tally)
+    """The one-shuffle faced expansion: every deck reachable by reinserting
+    cards ``1..a`` with each of their faces spun independently, untouched
+    cards showing the identity face.  Its ``order**a * P(n, a)`` terms have
+    coefficient 1; refused above ``DEFAULT_TUPLE_CAP`` of them."""
+    return g_expansion_element(ShuffleSpec(n, (a,)), group, DEFAULT_TUPLE_CAP)
 
 
 def g_multiply(
@@ -435,14 +430,16 @@ def factorization_counts_by_enumeration(
     l = _integer(l)
     if l < 1:
         raise ValueError("tuple length must be at least 1")
-    tally = g_brute_force_product(ShuffleSpec(1, (1,) * l), group, cap)._raw
-    return tuple(tally.get(((1,), (g,)), 0) for g in range(group.order))
+    product = g_brute_force_product(ShuffleSpec(1, (1,) * l), group, cap)
+    one_card = (GPermutation(((g, 1),)) for g in range(group.order))
+    return tuple(map(product.coefficient, one_card))
 
 
-def predicted_g_tuple_count(spec: ShuffleSpec, group: FiniteGroup) -> int:
-    """Faced term tuples a brute-force walk visits, which is also the number
-    of faced outcome tuples: ``order**sum(a)`` times the plain count."""
-    return _expect(FiniteGroup, group).order ** spec.total * predicted_tuple_count(spec)
+def g_total_outcomes(spec: ShuffleSpec, group: FiniteGroup) -> int:
+    """Faced outcome tuples, also the term tuples ``g_brute_force_product``
+    counts: ``order**sum(a)`` times the plain count."""
+    order, total = _expect(FiniteGroup, group).order, _expect(ShuffleSpec, spec).total
+    return order**total * total_outcomes(spec)
 
 
 def g_brute_force_product(
@@ -451,7 +448,7 @@ def g_brute_force_product(
     """Exact product of the spec's faced shuffle sums by exhaustive count of
     all term tuples, through the fold over distinct states in ``_fold``,
     one faced single-card insertion at a time."""
-    _check_cap(predicted_g_tuple_count(spec, group), cap, "tuples")
+    _check_cap(g_total_outcomes(spec, group), cap, "tuples")
     n, order = spec.n, group.order
     factors = [
         (_hat_insertions(m, n, order), None) for ai in spec.a for m in range(ai, 0, -1)
@@ -474,9 +471,10 @@ def g_expansion_element(
     """The faced expansion materialized as one element, for comparison
     against ``g_brute_force_product``.  Refuses up front when the faced
     shuffle sums it adds up have more than ``cap`` terms in total."""
+    n = _expect(ShuffleSpec, spec).n
     decks = partial(_hat_decks_raw, order=_expect(FiniteGroup, group).order)
-    tally = _shuffle_sums(spec.n, g_expansion(spec, group), decks, cap, group.order)
-    return GAlgebraElement._of_tally((spec.n, group), tally)
+    tally = _shuffle_sums(n, g_expansion(spec, group), decks, cap, group.order)
+    return GAlgebraElement._of_tally((n, group), tally)
 
 
 def is_hat_term(target: GPermutation, c: int, group: FiniteGroup) -> bool:
@@ -505,7 +503,7 @@ def bar_element(
     p: Permutation, group: FiniteGroup, cap: int = DEFAULT_TUPLE_CAP
 ) -> GAlgebraElement:
     """Sum of all ``order**n`` ways to put a face on every card of ``p``."""
-    return bar_lift(AlgebraElement(p.n, {p: 1}), group, cap)
+    return bar_lift(AlgebraElement(_expect(Permutation, p).n, {p: 1}), group, cap)
 
 
 def bar_lift(x, group: FiniteGroup, cap: int = DEFAULT_TUPLE_CAP) -> GAlgebraElement:

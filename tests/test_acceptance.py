@@ -45,10 +45,9 @@ from topshuffle import (
     total_outcomes,
     ways_to_reach,
 )
-from topshuffle.algebra import _top_to_random_decks, predicted_tuple_count
+from topshuffle.algebra import _top_to_random_decks
 from topshuffle.coefficients import _q_count
 from topshuffle.permutations import _compose_decks
-from topshuffle.wreath import predicted_g_tuple_count
 
 TUPLE_LIMIT = 10**6
 
@@ -71,7 +70,7 @@ def test_criterion_1_oracle_equivalence():
         for k in (1, 2, 3, 4):
             for a in itertools.product(sizes, repeat=k):
                 spec = ShuffleSpec(n, a)
-                if predicted_tuple_count(spec) > TUPLE_LIMIT:
+                if total_outcomes(spec) > TUPLE_LIMIT:
                     continue
                 assert expansion_element(spec) == brute_force_product(
                     spec, cap=TUPLE_LIMIT
@@ -216,7 +215,7 @@ def test_criterion_5_wreath_suite():
             for k in (1, 2, 3):
                 for a in itertools.product(range(1, n + 1), repeat=k):
                     spec = ShuffleSpec(n, a)
-                    if predicted_g_tuple_count(spec, group) > TUPLE_LIMIT:
+                    if g_total_outcomes(spec, group) > TUPLE_LIMIT:
                         continue
                     assert g_brute_force_product(
                         spec, group, cap=TUPLE_LIMIT
@@ -303,15 +302,14 @@ def test_criterion_7_term_count_identities():
         for a in itertools.product(range(1, min(3, n) + 1), repeat=k)
     ]
     for spec in plain_specs:
-        if predicted_tuple_count(spec) > 10**5:
+        if total_outcomes(spec) > 10**5:
             continue
         predicted = math.prod(math.perm(spec.n, ai) for ai in spec.a)
-        assert predicted == predicted_tuple_count(spec)
+        assert predicted == total_outcomes(spec)
         assert predicted == brute_force_product(spec).mass  # enumerated count
         assert predicted == sum(
             c * math.perm(spec.n, j) for j, c in expansion(spec).items()
         )
-        assert predicted == total_outcomes(spec)
 
     g_cases = [
         (ShuffleSpec(2, (1, 1)), FiniteGroup.cyclic(2)),
@@ -323,13 +321,12 @@ def test_criterion_7_term_count_identities():
         predicted = math.prod(
             group.order**ai * math.perm(spec.n, ai) for ai in spec.a
         )
-        assert predicted == predicted_g_tuple_count(spec, group)
+        assert predicted == g_total_outcomes(spec, group)
         assert predicted == g_brute_force_product(spec, group).mass
         assert predicted == sum(
             coeff * group.order**c * math.perm(spec.n, c)
             for c, coeff in g_expansion(spec, group).items()
         )
-        assert predicted == g_total_outcomes(spec, group)
 
     print(
         f"ACCEPTANCE 7 term-count identities: PASS "

@@ -25,8 +25,8 @@ from topshuffle import (
     multiply,
     shuffle_product,
     top_to_random,
+    total_outcomes,
 )
-from topshuffle.algebra import predicted_tuple_count
 
 
 def oracle_interleavings(u, v):
@@ -153,7 +153,7 @@ def test_brute_matches_garsia_two_factor():
     # Frozen from the two-factor closed form: coefficients {2: 2, 3: 1}
     # for sizes (2, 1) on four cards, cross-checked against all 48 tuples.
     spec = ShuffleSpec(4, (2, 1))
-    assert predicted_tuple_count(spec) == 48
+    assert total_outcomes(spec) == 48
     got = brute_force_product(spec)
     expected = top_to_random(2, 4).scale(2) + top_to_random(3, 4)
     assert got == expected
@@ -236,7 +236,7 @@ def test_mass_identity_small():
                 continue
             spec = ShuffleSpec(n, a)
             lhs = sum(c * math.perm(n, j) for j, c in expansion(spec).items())
-            assert lhs == predicted_tuple_count(spec)
+            assert lhs == total_outcomes(spec)
             assert brute_force_product(spec).mass == lhs
 
 

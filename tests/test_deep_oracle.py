@@ -26,9 +26,10 @@ from topshuffle import (
     brute_force_product,
     expansion_element,
     g_brute_force_product,
+    g_expansion_element,
+    g_total_outcomes,
+    total_outcomes,
 )
-from topshuffle.algebra import predicted_tuple_count
-from topshuffle.wreath import g_expansion_element, predicted_g_tuple_count
 
 WORK_LIMIT = 2 * 10**5
 GROUPS = {
@@ -93,7 +94,7 @@ FACED_CASES = [
 def test_cases_reach_past_the_deck_size():
     assert len(PLAIN_CASES) >= 20 and len(FACED_CASES) >= 15
     assert max(len(a) for _, a in PLAIN_CASES) == 30
-    tuples = [predicted_tuple_count(ShuffleSpec(n, a)) for n, a in PLAIN_CASES]
+    tuples = [total_outcomes(ShuffleSpec(n, a)) for n, a in PLAIN_CASES]
     assert max(tuples) > 10**23
     assert {name for name, _, _ in FACED_CASES} == set(GROUPS)
     assert any(len(set(a)) > 1 for _, a in PLAIN_CASES)
@@ -103,7 +104,7 @@ def test_cases_reach_past_the_deck_size():
 @pytest.mark.parametrize("n, a", PLAIN_CASES)
 def test_plain_oracle_equals_the_expansion_past_k_equals_n(n, a):
     spec = ShuffleSpec(n, a)
-    tuples = predicted_tuple_count(spec)
+    tuples = total_outcomes(spec)
     oracle = brute_force_product(spec, cap=tuples)
     assert oracle.mass == tuples
     assert len(oracle) == support(n, spec.total, 1)
@@ -114,7 +115,7 @@ def test_plain_oracle_equals_the_expansion_past_k_equals_n(n, a):
 def test_faced_oracle_equals_the_expansion_past_k_equals_n(name, n, a):
     group = GROUPS[name]
     spec = ShuffleSpec(n, a)
-    tuples = predicted_g_tuple_count(spec, group)
+    tuples = g_total_outcomes(spec, group)
     oracle = g_brute_force_product(spec, group, cap=tuples)
     assert oracle.mass == tuples
     assert len(oracle) == support(n, spec.total, group.order)

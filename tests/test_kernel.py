@@ -27,6 +27,7 @@ from topshuffle import (
     factorization_counts_by_enumeration,
     g_brute_force_product,
     g_compose,
+    g_total_outcomes,
     g_ways_to_reach,
     hat_top_to_random,
     is_hat_term,
@@ -217,6 +218,15 @@ def test_oracles_take_their_terms_from_the_insertions():
         assert not reachable_names(oracle) & shuffle_sums
 
 
+@pytest.mark.parametrize("shuffle_sum", [top_to_random, hat_top_to_random])
+def test_shuffle_sums_never_reach_the_fold(shuffle_sum):
+    # ``tests/test_insertions.py`` checks the insertion products against these
+    # two sums, which would be circular if the fold built them.
+    names = reachable_names(shuffle_sum)
+    assert names & {"_top_to_random_decks", "_hat_decks_raw"}
+    assert not names & {"_fold", "_insertion_decks", "_hat_insertions"}
+
+
 def test_oracle_guard_sees_the_closed_form_where_it_is_used():
     assert "expansion" in reachable_names(algebra.expansion_element)
     assert "_q_row" in reachable_names(wreath.g_expansion_element)
@@ -272,7 +282,7 @@ def test_plain_raw_tallies_decode_to_their_elements():
 def test_faced_raw_tallies_decode_to_their_elements(order):
     group = S3 if order == 6 else FiniteGroup.cyclic(order)
     for spec in small_specs(3, 3):
-        if wreath.predicted_g_tuple_count(spec, group) > 20_000:
+        if g_total_outcomes(spec, group) > 20_000:
             continue
         for public in [g_brute_force_product, wreath.g_expansion_element]:
             element = public(spec, group)
@@ -300,12 +310,12 @@ def test_elements_of_tallies_compare_without_building_decks(monkeypatch):
     oracle, expanded = brute_force_product(spec), algebra.expansion_element(spec)
     assert oracle == expanded and expanded == oracle
     assert len(oracle) == len(expanded) == 24
-    assert oracle.mass == expanded.mass == algebra.predicted_tuple_count(spec)
+    assert oracle.mass == expanded.mass == total_outcomes(spec)
     assert oracle.coefficient(plain_id) == expanded.coefficient(plain_id) == plain_want
     g_oracle = g_brute_force_product(faced_spec, group)
     g_expanded = wreath.g_expansion_element(faced_spec, group)
     assert g_oracle == g_expanded and len(g_oracle) == len(g_expanded)
-    assert g_oracle.mass == wreath.predicted_g_tuple_count(faced_spec, group)
+    assert g_oracle.mass == g_total_outcomes(faced_spec, group)
     assert g_oracle.coefficient(faced_id) == faced_want
     assert g_expanded.coefficient(faced_id) == faced_want
     bumped = dict(expanded._raw)
@@ -356,7 +366,7 @@ def test_plain_fold_equals_the_tuple_tally(n, a):
     factors = [list(top_to_random(ai, n).terms) for ai in a]
     tally = brute_force_product(spec).terms
     assert tally == tuple_tally(factors, compose)
-    assert sum(tally.values()) == algebra.predicted_tuple_count(spec)
+    assert sum(tally.values()) == total_outcomes(spec)
 
 
 def faced_compose(s, t, group):
@@ -384,7 +394,7 @@ def test_faced_fold_equals_the_tuple_tally(n, a, order):
     factors = [list(hat_top_to_random(ai, n, group).terms) for ai in a]
     tally = g_brute_force_product(spec, group).terms
     assert tally == tuple_tally(factors, lambda s, t: faced_compose(s, t, group))
-    assert sum(tally.values()) == wreath.predicted_g_tuple_count(spec, group)
+    assert sum(tally.values()) == g_total_outcomes(spec, group)
 
 
 # The fold keys states by bytes while their symbols fit in a byte, by tuples

@@ -13,8 +13,10 @@ from topshuffle import (
     SegmentedPartition,
     ShuffleSpec,
     all_permutations,
+    anchor_signature,
     anchor_tuples,
     as_injection,
+    bar_element,
     bar_lift,
     bar_lift_expansion,
     bell,
@@ -22,6 +24,7 @@ from topshuffle import (
     cli,
     compose,
     enumerate_segmented_partitions,
+    expansion,
     expansion_element,
     factorization_count,
     factorization_counts_by_enumeration,
@@ -32,6 +35,7 @@ from topshuffle import (
     g_expansion,
     g_multiply,
     g_probability_of,
+    g_total_outcomes,
     g_ways_to_reach,
     hat_top_to_random,
     identity,
@@ -45,8 +49,10 @@ from topshuffle import (
     phi_inverse,
     probability_of,
     q_cardinality,
+    respects_rounds,
     stirling2,
     top_to_random,
+    total_outcomes,
     ways_to_reach,
 )
 from topshuffle.algebra import DEFAULT_TUPLE_CAP
@@ -264,6 +270,47 @@ def test_coefficients_refuse_bad_arguments(call):
     ],
 )
 def test_probability_refuses(call):
+    with pytest.raises(ValueError, match="expected a"):
+        call()
+
+
+TUPLE_SPEC = (2, (1,))
+ONE_BLOCK = SegmentedPartition(([1, 2],))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: total_outcomes(TUPLE_SPEC),
+        lambda: g_total_outcomes(TUPLE_SPEC, Z2),
+        lambda: brute_force_product(TUPLE_SPEC),
+        lambda: g_brute_force_product(TUPLE_SPEC, Z2),
+        lambda: expansion(TUPLE_SPEC),
+        lambda: g_expansion(None, Z2),
+        lambda: expansion_element(TUPLE_SPEC),
+        lambda: g_expansion_element(TUPLE_SPEC, Z2),
+        lambda: q_cardinality(TUPLE_SPEC, 1),
+        lambda: list(anchor_tuples(TUPLE_SPEC, 1)),
+        lambda: list(iter_segmented_partitions(TUPLE_SPEC, 1)),
+        lambda: enumerate_segmented_partitions(None, 1),
+        lambda: respects_rounds(ONE_BLOCK, TUPLE_SPEC),
+        lambda: anchor_signature(ONE_BLOCK, None),
+        lambda: phi((identity(2),), TUPLE_SPEC),
+        lambda: phi_inverse(ONE_BLOCK, identity(2), TUPLE_SPEC),
+        lambda: phi_inverse(ONE_BLOCK, None, SPEC),
+        lambda: phi_inverse(ONE_BLOCK, [1, 2, 3], SPEC),
+        lambda: ways_to_reach(identity(2), TUPLE_SPEC),
+        lambda: probability_of(identity(2), None),
+        lambda: g_ways_to_reach(GPermutation.identity(2), TUPLE_SPEC, Z2),
+        lambda: g_probability_of(GPermutation.identity(2), None, Z2),
+        lambda: bar_element([1, 2], Z2),
+        lambda: bar_element(None, Z2),
+        lambda: AlgebraElement(2, [1, 2]),
+        lambda: AlgebraElement(2, None),
+        lambda: GAlgebraElement(2, Z2, [1, 2]),
+    ],
+)
+def test_specs_decks_and_terms_are_read_by_class(call):
     with pytest.raises(ValueError, match="expected a"):
         call()
 
