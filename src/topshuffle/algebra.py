@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import repeat
 from operator import add, attrgetter, itemgetter, mul
 from types import MappingProxyType
@@ -62,7 +62,7 @@ DEFAULT_TUPLE_CAP = 10**7
 def shuffle_product(u: Sequence[int], v: Sequence[int]) -> list[Word]:
     """All interleavings of ``u`` and ``v`` preserving each word's internal
     order; there are C(|u|+|v|, |u|) of them, pairwise distinct."""
-    u, v = tuple(u), tuple(v)
+    u, v = tuple(_expect(Iterable, u)), tuple(_expect(Iterable, v))
     if len(set(u)) != len(u) or len(set(v)) != len(v) or set(u) & set(v):
         raise ValueError("shuffle operands must have pairwise distinct letters")
     total = len(u) + len(v)

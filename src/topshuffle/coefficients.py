@@ -37,14 +37,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
 from .errors import _check_cap
 from .permutations import (
     Permutation,
     _expect,
     _integer,
+    _integers,
     _json_list,
     is_term_of,
     min_shuffle_size,
@@ -63,7 +64,7 @@ class ShuffleSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _integer(self.n))
-        object.__setattr__(self, "a", tuple(_integer(x) for x in self.a))
+        object.__setattr__(self, "a", _integers(self.a))
         if self.n < 1:
             raise ValueError("deck size must be at least 1")
         if not self.a:
@@ -171,12 +172,7 @@ def q_cardinality(spec: ShuffleSpec, j: int) -> int:
     j = _integer(j)
     if j < spec.j_min or j > spec.j_max:
         return 0
-    return _q_count(spec.a, j)
-
-
-def _q_count(a: tuple[int, ...], j: int) -> int:
-    """Round-partition count at ``j`` blocks, with no deck-size truncation."""
-    return _q_row(a, j)[j] if j >= 0 else 0
+    return _q_row(spec.a, j)[j]
 
 
 def _q_row(a: tuple[int, ...], top: int) -> list[int]:
@@ -210,7 +206,7 @@ class SegmentedPartition:
     labels: tuple[int, ...]
 
     def __init__(self, parts: Iterable[Iterable[int]]) -> None:
-        parts = [[_integer(e) for e in part] for part in parts]
+        parts = [_integers(part) for part in _expect(Iterable, parts)]
         if not parts or not all(parts):
             raise ValueError("blocks must be nonempty")
         size = sum(map(len, parts))
@@ -268,8 +264,8 @@ class SegmentedPartition:
 def _round_slices(
     alpha: SegmentedPartition, spec: ShuffleSpec
 ) -> list[tuple[int, ...]]:
-    """The labels of each round's slots, after checking the size."""
-    if alpha.size != spec.total:
+    """The labels of each round's slots, after checking the class and size."""
+    if _expect(SegmentedPartition, alpha).size != spec.total:
         raise ValueError(
             f"partition covers {alpha.size} slots, spec has {spec.total}"
         )
@@ -283,7 +279,8 @@ def respects_rounds(alpha: SegmentedPartition, spec: ShuffleSpec) -> bool:
     Together with having the right size, this characterizes the partitions
     reachable from shuffle sequences of the given sizes.
     """
-    return alpha.size == _expect(ShuffleSpec, spec).total and all(
+    size = _expect(SegmentedPartition, alpha).size
+    return size == _expect(ShuffleSpec, spec).total and all(
         len(set(top)) == len(top) for top in _round_slices(alpha, spec)
     )
 
@@ -343,7 +340,7 @@ def phi(sigmas: Sequence[Permutation], spec: ShuffleSpec) -> SegmentedPartition:
     Simulates the rounds on the sorted deck; slot ``e``'s label is the card
     it touched, and the number of blocks is the number of cards touched.
     """
-    if len(sigmas) != _expect(ShuffleSpec, spec).k:
+    if len(_expect(Sequence, sigmas)) != _expect(ShuffleSpec, spec).k:
         raise ValueError(f"expected {spec.k} shuffles, got {len(sigmas)}")
     n = spec.n
     deck = range(1, n + 1)

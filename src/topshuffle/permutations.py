@@ -16,10 +16,10 @@ from __future__ import annotations
 import itertools
 import re
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property
-from typing import Iterator, Sequence
 
 
 @dataclass(frozen=True, order=True)
@@ -37,14 +37,12 @@ class Permutation:
     deck: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        deck = self.deck
-        if type(deck) is not tuple or {*map(type, deck)} != {int}:
-            deck = tuple(_integer(c) for c in deck)
-            object.__setattr__(self, "deck", deck)
+        deck = _integers(self.deck)
+        object.__setattr__(self, "deck", deck)
         n = len(deck)
         if n == 0:
             raise ValueError("empty deck")
-        if sorted(deck) != _range_list(n):
+        if sorted(deck) != list(range(1, n + 1)):
             raise ValueError(f"deck {deck!r} is not a permutation of 1..{n}")
 
     @classmethod
@@ -149,7 +147,7 @@ class Injection:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", _integer(self.a))
-        object.__setattr__(self, "targets", tuple(_integer(t) for t in self.targets))
+        object.__setattr__(self, "targets", _integers(self.targets))
         if self.a < 0:
             raise ValueError("domain size must be nonnegative")
         if len(self.targets) != self.a:
@@ -192,7 +190,7 @@ def from_injection(inj: Injection, n: int) -> Permutation:
     """The unique deck of size ``n`` sending card ``i`` to ``inj.targets[i-1]``
     with the remaining cards left in increasing order."""
     n = _integer(n)
-    if any(t > n for t in inj.targets):
+    if any(t > n for t in _expect(Injection, inj).targets):
         raise ValueError(f"target position out of range for deck size {n}")
     deck = _deck_from_targets(inj.targets, n)
     # Minimality of the injection guarantees this; kept as a hard guard.
@@ -217,6 +215,14 @@ def _integer(x) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise ValueError(f"{x!r} is not an integer")
     return int(x)
+
+
+def _integers(xs) -> tuple[int, ...]:
+    """``xs`` as a tuple of ints, each read through ``_integer``; a tuple of
+    ints passes as it is, and anything not iterable raises ``ValueError``."""
+    if type(xs) is tuple and {*map(type, xs)} <= {int}:
+        return xs
+    return tuple(map(_integer, _expect(Iterable, xs)))
 
 
 def _in_range(x, lo: int, hi: int, what: str) -> int:
@@ -279,17 +285,6 @@ def _json_object(data, *keys) -> list:
 
 # Raw-tuple helpers shared with the sibling modules.  They skip dataclass
 # construction so exhaustive enumerations stay cheap.
-
-_RANGE_LISTS: dict[int, list[int]] = {}
-
-
-def _range_list(n: int) -> list[int]:
-    out = _RANGE_LISTS.get(n)
-    if out is None:
-        out = list(range(1, n + 1))
-        _RANGE_LISTS[n] = out
-    return out
-
 
 def _compose_decks(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([p[c - 1] for c in q])

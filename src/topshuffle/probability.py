@@ -1,22 +1,22 @@
 """Exact counting and probability of reaching a target deck.
 
-A target is reachable through a given shuffle sequence once for every
-round-partition whose block count is at least the target's minimum shuffle
-size, so the count is a tail sum of one round-partition count row
-(``coefficients._q_row``), starting at that size, and the probability is
-that count over the total number of outcome tuples.  A faced target's tail
-starts at ``wreath._hat_floor`` instead, which also waits for the highest
-card showing a non-identity face, and each term is scaled by the faces the
-touched cards may spin through.  All probabilities are exact rationals;
-any decimal rendering is display-only.
+The product of a spec's shuffle sums is ``sum_j count_j * top_to_random(j,
+n)`` (``algebra.expansion``), and a target is a term of the size-``j`` sum
+for every ``j`` from its minimum shuffle size on, with coefficient 1.  So
+the number of outcome tuples that reach it is the tail of the expansion
+from that size, and the probability is that count over the total number of
+outcome tuples.  A faced target reads the tail of ``wreath.g_expansion``
+from ``wreath._hat_floor``, which also waits for the highest card showing
+a non-identity face.  All probabilities are exact rationals; any decimal
+rendering is display-only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import total_outcomes
-from .coefficients import ShuffleSpec, _q_row
+from .algebra import expansion, total_outcomes
+from .coefficients import ShuffleSpec
 from .permutations import (
     Permutation,
     _expect,
@@ -25,20 +25,20 @@ from .permutations import (
     _json_object,
     min_shuffle_size,
 )
-from .wreath import FiniteGroup, GPermutation, _hat_floor, g_total_outcomes
+from .wreath import FiniteGroup, GPermutation, _hat_floor, g_expansion, g_total_outcomes
 
 
-def _tail_ways(spec: ShuffleSpec, n: int, floor: int, order: int = 1) -> int:
-    if n != _expect(ShuffleSpec, spec).n:
-        raise ValueError(f"deck size {n} does not match spec size {spec.n}")
-    lo = max(spec.j_min, floor)
-    row = _q_row(spec.a, spec.j_max)[lo:]
-    return sum(q * order ** (spec.total - c) for c, q in enumerate(row, lo))
+def _tail(floor: int, target, counts: dict[int, int], spec: ShuffleSpec) -> int:
+    """The sum of an expansion's ``counts`` from the target's ``floor`` on,
+    its arguments read in refusal order: target class, spec class, size."""
+    if target.n != spec.n:
+        raise ValueError(f"deck size {target.n} does not match spec size {spec.n}")
+    return sum(q for c, q in counts.items() if c >= floor)
 
 
 def ways_to_reach(target: Permutation, spec: ShuffleSpec) -> int:
     """Number of outcome tuples of the shuffle sequence producing ``target``."""
-    return _tail_ways(spec, _expect(Permutation, target).n, min_shuffle_size(target))
+    return _tail(min_shuffle_size(target), target, expansion(spec), spec)
 
 
 def probability_of(target: Permutation, spec: ShuffleSpec) -> Fraction:
@@ -49,15 +49,13 @@ def probability_of(target: Permutation, spec: ShuffleSpec) -> Fraction:
 def g_ways_to_reach(
     target: GPermutation, spec: ShuffleSpec, group: FiniteGroup
 ) -> int:
-    """Number of faced outcome tuples producing ``target``.
-
-    Sums, over each block count ``c`` whose faced shuffle sum contains the
-    target as a term (every ``c`` from ``_hat_floor`` on), the plain
-    partition count times ``order**(sum(a)-c)``.  Targets showing a
-    non-identity face on a never-touched card simply count 0.
+    """Number of faced outcome tuples producing ``target``: the faced
+    expansion's counts at every ``c`` whose faced shuffle sum contains the
+    target as a term, which is every ``c`` from ``_hat_floor`` on.  Targets
+    showing a non-identity face on a never-touched card simply count 0.
     """
-    n = _expect(GPermutation, target).n
-    return _tail_ways(spec, n, _hat_floor(target, group), group.order)
+    floor = _hat_floor(_expect(GPermutation, target), group)
+    return _tail(floor, target, g_expansion(spec, group), spec)
 
 
 def g_probability_of(

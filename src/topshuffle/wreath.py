@@ -29,11 +29,11 @@ a term's table is its face's Cayley row.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, partial
 from operator import itemgetter
 from struct import iter_unpack
-from typing import Iterator, Mapping, Sequence
 
 from .algebra import (
     DEFAULT_TUPLE_CAP,
@@ -54,6 +54,7 @@ from .permutations import (
     _expect,
     _in_range,
     _integer,
+    _integers,
     _json_list,
     _json_object,
     _min_shuffle_raw,
@@ -73,7 +74,7 @@ class FiniteGroup:
     __slots__ = ("cayley", "inverse")
 
     def __init__(self, cayley: Sequence[Sequence[int]]):
-        table = tuple(tuple(_integer(x) for x in row) for row in cayley)
+        table = tuple(map(_integers, _expect(Iterable, cayley)))
         m = len(table)
         if m == 0:
             raise ValueError("group must have at least one element")
@@ -215,16 +216,10 @@ class GPermutation:
     deck: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        deck = self.deck
-        if type(deck) is not tuple or not all(
-            type(card) is tuple
-            and len(card) == 2
-            and type(card[0]) is int
-            and type(card[1]) is int
-            for card in deck
-        ):
-            deck = tuple((_integer(f), _integer(c)) for f, c in deck)
-            object.__setattr__(self, "deck", deck)
+        deck = tuple(map(_integers, _expect(Iterable, self.deck)))
+        object.__setattr__(self, "deck", deck)
+        if any(len(card) != 2 for card in deck):
+            raise ValueError("each card is a (face, card) pair")
         n = len(deck)
         if n == 0:
             raise ValueError("empty deck")
@@ -258,7 +253,7 @@ class GPermutation:
     @classmethod
     def plain(cls, p: Permutation) -> "GPermutation":
         """The deck ``p`` with every card showing the identity face."""
-        return cls(tuple((0, c) for c in p.deck))
+        return cls(tuple((0, c) for c in _expect(Permutation, p).deck))
 
     @classmethod
     def identity(cls, n: int) -> "GPermutation":
@@ -304,11 +299,10 @@ def _g_symbols(n: int, cayley: tuple) -> tuple:
 
     @cache
     def block(c, f):
-        return cayley[f] if c == 1 else tuple(map(((c - 1) * order).__add__, cayley[f]))
+        return tuple(map(((c - 1) * order).__add__, cayley[f]))
 
     def table(r):
-        parts = list(map(block, *r))
-        return pad(parts[0] if n == 1 else itertools.chain.from_iterable(parts))
+        return pad(itertools.chain.from_iterable(map(block, *r)))
 
     def raw(tally):
         if narrow:
@@ -369,11 +363,12 @@ class GAlgebraElement(_Element):
 def _hat_decks_raw(a: int, n: int, order: int) -> Iterator:
     """Raw terms of ``hat_top_to_random``: each of ``_top_to_random_decks``
     with every spin of cards ``1..a``, by position; decks that touch the same
-    positions share one spin list."""
+    positions share one spin list.  The deck's own getter, not the fold's,
+    reads a spin at its cards; a one-card deck's spins are already by position."""
     spins = [f + (0,) * (n - a) for f in itertools.product(range(order), repeat=a)]
     touched, by_position = (1,) * a + (0,) * (n - a), {}
     for deck in _top_to_random_decks(a, n):
-        g = _substitution([c - 1 for c in deck])
+        g = itemgetter(*[c - 1 for c in deck]) if n > 1 else tuple
         key = g(touched)
         faces = by_position.get(key) or by_position.setdefault(key, list(map(g, spins)))
         yield from zip(itertools.repeat(deck), faces)
@@ -529,7 +524,7 @@ def bar_lift_expansion(
         raise ValueError("number of factors must be at least 1")
     if n < 1:
         raise ValueError("deck size must be at least 1")
-    base = {r: _integer(c) for r, c in base_coefficients.items()}
+    base = {r: _integer(c) for r, c in _expect(Mapping, base_coefficients).items()}
     if any(c < 0 for c in base.values()):
         raise ValueError("base coefficients must be nonnegative")
     factor = (_expect(FiniteGroup, group).order ** (k - 1)) ** n

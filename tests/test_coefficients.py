@@ -24,7 +24,7 @@ from topshuffle import (
 )
 from topshuffle import coefficients
 from topshuffle.algebra import _top_to_random_decks
-from topshuffle.coefficients import STIRLING_CELL_CAP, _q_count
+from topshuffle.coefficients import STIRLING_CELL_CAP
 
 
 # Independent oracles -------------------------------------------------------
@@ -201,7 +201,7 @@ def test_q_matches_enumeration_lengths():
         for a in compositions(total, total):
             spec = ShuffleSpec(total, a)
             for j in range(0, total + 2):
-                assert _q_count(a, j) == len(enumerate_segmented_partitions(spec, j))
+                assert q_cardinality(spec, j) == len(enumerate_segmented_partitions(spec, j))
 
 
 def test_q_truncates_outside_deck_range():
@@ -227,7 +227,7 @@ def test_q_support_is_exactly_the_reachable_range():
             spec = ShuffleSpec(total, a)
             for j in range(0, total + 2):
                 expected = max(a) <= j <= total
-                assert (_q_count(a, j) > 0) == expected
+                assert (q_cardinality(spec, j) > 0) == expected
                 assert (len(enumerate_segmented_partitions(spec, j)) > 0) == expected
 
 

@@ -38,7 +38,7 @@ from topshuffle import (
     ways_to_reach,
     wreath,
 )
-from topshuffle.coefficients import _q_count, _q_row, _stirling_row
+from topshuffle.coefficients import _q_row, _stirling_row
 from topshuffle.permutations import _deck_from_targets
 
 S3 = FiniteGroup.symmetric_3()
@@ -69,15 +69,14 @@ def test_row_equals_anchor_sum_exhaustively():
                 for j in range(spec.j_max + 1):
                     assert row[j] == anchor_sum(spec, j), (n, a, j)
                     assert q_cardinality(spec, j) == row[j]
-                    assert _q_count(a, j) == row[j]
+                    assert _q_row(a, j)[j] == row[j]
                 checked += 1
     assert checked == sum(n**k for n in range(1, 8) for k in range(1, 5))
 
 
 def test_count_without_truncation_reaches_past_the_deck():
-    assert _q_count((2, 2), 4) == 1  # both slots of round 2 open blocks
-    assert _q_count((2, 2), 5) == 0
-    assert _q_count((2, 2), -1) == 0
+    assert _q_row((2, 2), 4)[4] == 1  # both slots of round 2 open blocks
+    assert _q_row((2, 2), 5)[5] == 0
     assert _q_row((3, 1), 2) == [0, 0, 0]  # round 1 alone opens 3 blocks
 
 
@@ -167,7 +166,7 @@ def test_faced_ways_match_term_by_term_sum(data):
 
 # The oracle must never share a code path with the closed form ---------------
 
-CLOSED_FORM = {"_q_row", "_q_count", "q_cardinality", "expansion"}
+CLOSED_FORM = {"_q_row", "q_cardinality", "expansion"}
 
 
 def reachable_names(fn):
@@ -218,21 +217,30 @@ def test_oracles_take_their_terms_from_the_insertions():
         assert not reachable_names(oracle) & shuffle_sums
 
 
-@pytest.mark.parametrize("shuffle_sum", [top_to_random, hat_top_to_random])
+FOLD = {"_fold", "_substitution", "_deck_symbols", "_g_symbols"}
+
+
+@pytest.mark.parametrize(
+    "shuffle_sum",
+    [
+        top_to_random,
+        hat_top_to_random,
+        algebra.expansion_element,
+        wreath.g_expansion_element,
+    ],
+)
 def test_shuffle_sums_never_reach_the_fold(shuffle_sum):
-    # ``tests/test_insertions.py`` checks the insertion products against these
-    # two sums, which would be circular if the fold built them.
+    # ``tests/test_insertions.py`` checks the insertion products against the
+    # shuffle sums, and the oracles check the expansions; either would be
+    # circular if the fold built them.
     names = reachable_names(shuffle_sum)
     assert names & {"_top_to_random_decks", "_hat_decks_raw"}
-    assert not names & {"_fold", "_insertion_decks", "_hat_insertions"}
+    assert not names & (FOLD | {"_insertion_decks", "_hat_insertions"})
 
 
 def test_oracle_guard_sees_the_closed_form_where_it_is_used():
     assert "expansion" in reachable_names(algebra.expansion_element)
     assert "_q_row" in reachable_names(wreath.g_expansion_element)
-
-
-FOLD = {"_fold", "_substitution", "_deck_symbols", "_g_symbols"}
 
 
 def test_compose_shares_nothing_with_the_fold():

@@ -1,8 +1,12 @@
 """Bad input is refused at the public boundary with ``ValueError``, and every
 cap names the unit it counts."""
 
+import inspect
+from collections.abc import Iterator
+
 import pytest
 
+import topshuffle
 from topshuffle import (
     AlgebraElement,
     CapExceeded,
@@ -374,8 +378,102 @@ def test_algebra_refuses(call):
         lambda: Z3.inv(1.5),
         lambda: FACED.position_of(True),
         lambda: FACED.face_of(True),
+        lambda: GPermutation.plain([1, 2]),
     ],
 )
 def test_wreath_refuses(call):
     with pytest.raises(ValueError):
         call()
+
+
+# Every public callable refuses junk in any one position ---------------------------
+
+ALPHA = SegmentedPartition(([1, 2],))  # both rounds of SPEC touch card 1
+
+# Valid arguments for every callable that ``topshuffle/__init__.py`` imports.
+VALID = {
+    "AlgebraElement": (2, {identity(2): 1}),
+    "CapExceeded": (10, 1, "tuples"),
+    "FiniteGroup": (((0, 1), (1, 0)),),
+    "GAlgebraElement": (2, Z2, {GPermutation.identity(2): 1}),
+    "GPermutation": (((1, 2), (0, 1)),),
+    "Injection": (1, (2,)),
+    "Permutation": ((2, 1, 3),),
+    "SegmentedPartition": (([1, 3], [2]),),
+    "ShuffleSpec": (3, (1, 1)),
+    "all_permutations": (2,),
+    "anchor_signature": (ALPHA, SPEC),
+    "anchor_tuples": (SPEC, 2),
+    "as_injection": (identity(3),),
+    "bar_element": (identity(2), Z2),
+    "bar_lift": (top_to_random(1, 2), Z2),
+    "bar_lift_expansion": ({1: 1}, 2, 2, Z2),
+    "bell": (3,),
+    "brute_force_product": (SPEC,),
+    "compose": (identity(3), identity(3)),
+    "enumerate_segmented_partitions": (SPEC, 2),
+    "expansion": (SPEC,),
+    "expansion_element": (SPEC,),
+    "factorization_count": (2, 1, Z2),
+    "factorization_counts_by_enumeration": (2, Z2),
+    "falling_factorial": (3, 2),
+    "from_injection": (Injection(1, (2,)), 3),
+    "g_brute_force_product": (SPEC, Z2),
+    "g_compose": (FACED, FACED, Z2),
+    "g_expansion": (SPEC, Z2),
+    "g_expansion_element": (SPEC, Z2),
+    "g_multiply": (hat_top_to_random(1, 2, Z2), hat_top_to_random(1, 2, Z2)),
+    "g_probability_of": (FACED, SPEC, Z2),
+    "g_total_outcomes": (SPEC, Z2),
+    "g_ways_to_reach": (FACED, SPEC, Z2),
+    "hat_top_to_random": (1, 2, Z2),
+    "identity": (3,),
+    "inverse": (identity(3),),
+    "is_hat_term": (FACED, 1, Z2),
+    "is_term_of": (identity(3), 1),
+    "iter_segmented_partitions": (SPEC, 2),
+    "min_shuffle_size": (identity(3),),
+    "multiply": (top_to_random(1, 2), top_to_random(1, 2)),
+    "phi": ((identity(3), identity(3)), SPEC),
+    "phi_inverse": (ALPHA, identity(3), SPEC),
+    "probability_of": (identity(3), SPEC),
+    "q_cardinality": (SPEC, 2),
+    "respects_rounds": (ALPHA, SPEC),
+    "shuffle_product": ((1, 2), (3,)),
+    "stirling2": (3, 2),
+    "top_to_random": (1, 2),
+    "total_outcomes": (SPEC,),
+    "ways_to_reach": (identity(3), SPEC),
+}
+
+JUNK = [None, "x", [1, 2], (2, (1,)), 1.5, True, object()]
+
+# Every public callable, classes included; a name missing from ``VALID``
+# fails its probes with ``KeyError``.
+PROBES = [
+    (name, parameter)
+    for name, value in vars(topshuffle).items()
+    if callable(value) and not name.startswith("_")
+    for parameter in inspect.signature(value).parameters
+]
+
+
+def _call(fn, args, kwargs):
+    out = fn(*args, **kwargs)
+    if isinstance(out, Iterator):
+        next(out, None)
+
+
+@pytest.mark.parametrize("name, parameter", PROBES)
+def test_junk_in_any_position_is_refused_with_value_error(name, parameter):
+    fn = getattr(topshuffle, name)
+    _call(fn, VALID[name], {})  # the valid arguments are accepted
+    for junk in JUNK:
+        bound = inspect.signature(fn).bind(*VALID[name])
+        bound.arguments[parameter] = junk
+        try:
+            _call(fn, bound.args, bound.kwargs)
+        except (ValueError, CapExceeded):
+            pass
+        except Exception as e:
+            pytest.fail(f"{name}({parameter}={junk!r}) raised {e!r}")

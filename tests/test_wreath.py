@@ -191,6 +191,17 @@ def test_abs_is_group_order_to_the_n_to_one():
     assert len(by_abs) == 6
 
 
+def test_faced_accessors_read_the_deck():
+    checked = 0
+    for n in range(1, 4):
+        for gp in all_g_perms(n, Z2):
+            for position, (face, card) in enumerate(gp.deck, start=1):
+                assert gp.position_of(card) == position
+                assert gp.face_of(card) == face
+                checked += 1
+    assert checked == sum(math.factorial(n) * 2**n * n for n in range(1, 4))
+
+
 def test_double_flip_cancels():
     s = GPermutation(((1, 1), (0, 2)))
     assert g_compose(s, s, Z2) == GPermutation.identity(2)
