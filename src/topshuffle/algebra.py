@@ -24,9 +24,10 @@ do not come from the shuffle sums those add up (``_top_to_random_decks``),
 so the oracle stays an independent check of the closed form.
 
 An element stores only its raw tally, deck tuple to count, and decodes it
-through the checked constructors each time its terms are read.  ``==``,
-``len`` and products work on the tallies, so the CLI's ``verify`` builds
-deck objects only on a mismatch.
+through the checked deck constructors each time its terms are read; the
+size and group, checked once when a term is stored, are not checked again.
+``==``, ``len`` and products work on the tallies, so the CLI's ``verify``
+builds deck objects only on a mismatch.
 
 All coefficients are exact arbitrary-precision integers.
 """
@@ -36,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from itertools import repeat
 from operator import add, attrgetter, itemgetter, mul
 from types import MappingProxyType
@@ -51,6 +52,7 @@ from .permutations import (
     _json_integer,
     _json_list,
     _json_object,
+    _ordered,
 )
 
 # Ordered letters, pairwise distinct; the operand type of shuffle_product.
@@ -62,7 +64,7 @@ DEFAULT_TUPLE_CAP = 10**7
 def shuffle_product(u: Sequence[int], v: Sequence[int]) -> list[Word]:
     """All interleavings of ``u`` and ``v`` preserving each word's internal
     order; there are C(|u|+|v|, |u|) of them, pairwise distinct."""
-    u, v = tuple(_expect(Iterable, u)), tuple(_expect(Iterable, v))
+    u, v = tuple(_ordered(u)), tuple(_ordered(v))
     if len(set(u)) != len(u) or len(set(v)) != len(v) or set(u) & set(v):
         raise ValueError("shuffle operands must have pairwise distinct letters")
     total = len(u) + len(v)
@@ -79,11 +81,13 @@ class _Element:
 
     An element stores only its raw tally: raw deck to nonzero count, where
     ``_encode`` turns a deck into its raw form and ``_decode`` turns it back
-    through the checked deck constructor.  Raw decks sort in their decks'
-    canonical order.  A subclass supplies its constructor, ``_DECK`` (the
-    deck class), ``_encode``, ``_decode`` and ``__repr__``; an algebra with
-    more than a deck size also overrides ``_check``, ``_MISMATCH`` and the
-    JSON header methods.
+    through the checked deck constructor.  ``_store`` checks each term
+    (``_check``), and the package's builders write only decks of the
+    element's size with faces in its group, so reads check neither again.
+    Raw decks sort in their decks' canonical order.  A subclass supplies
+    its constructor, ``_DECK`` (the deck class), ``_encode``, ``_decode``
+    and ``__repr__``; an algebra with more than a deck size also overrides
+    ``_check``, ``_MISMATCH`` and the JSON header methods.
     """
 
     __slots__ = ("n", "_space", "_raw")
@@ -107,7 +111,8 @@ class _Element:
     @classmethod
     def _of_tally(cls, space: tuple, tally: Mapping):
         """The element over ``space`` of a raw tally that the package built:
-        keys in the form ``_decode`` reads, no zero counts."""
+        keys in the form ``_decode`` reads, decks of the space's size with
+        faces in its group, no zero counts."""
         self = object.__new__(cls)
         self.n, self._space, self._raw = space[0], space, tally
         return self
@@ -115,15 +120,6 @@ class _Element:
     def _check(self, p) -> None:
         if not isinstance(p, self._DECK) or p.n != self.n:
             raise ValueError(f"{p!r} is not a {self._DECK.__name__} of size {self.n}")
-
-    def _decoded(self, items) -> dict:
-        """The terms of raw ``items``, decoded and checked anew on every read."""
-        terms = {}
-        for r, c in items:
-            p = self._decode(r)
-            self._check(p)
-            terms[p] = c
-        return terms
 
     @classmethod
     def _require(cls, x, y) -> None:
@@ -136,7 +132,7 @@ class _Element:
 
     @property
     def terms(self) -> Mapping:
-        return MappingProxyType(self._decoded(self._raw.items()))
+        return MappingProxyType({self._decode(r): c for r, c in self._raw.items()})
 
     def coefficient(self, p) -> int:
         if not isinstance(p, self._DECK):
@@ -149,7 +145,7 @@ class _Element:
         return sum(self._raw.values())
 
     def sorted_terms(self) -> list:
-        return list(self._decoded(sorted(self._raw.items())).items())
+        return [(self._decode(r), c) for r, c in sorted(self._raw.items())]
 
     def scale(self, c: int):
         c = _integer(c)

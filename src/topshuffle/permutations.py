@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import re
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence, Set
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property
@@ -120,8 +120,7 @@ def min_shuffle_size(p: Permutation) -> int:
         return p._min_shuffle
     except AttributeError:
         # Only a ``Permutation`` has the attribute, so a deck pays nothing.
-        _expect(Permutation, p)
-        raise
+        return _expect(Permutation, p)._min_shuffle
 
 
 def is_term_of(p: Permutation, c: int) -> bool:
@@ -192,14 +191,7 @@ def from_injection(inj: Injection, n: int) -> Permutation:
     n = _integer(n)
     if any(t > n for t in _expect(Injection, inj).targets):
         raise ValueError(f"target position out of range for deck size {n}")
-    deck = _deck_from_targets(inj.targets, n)
-    # Minimality of the injection guarantees this; kept as a hard guard.
-    if _min_shuffle_raw(deck) != inj.a:
-        raise ValueError(
-            f"injection {inj.targets!r} does not determine a minimal "
-            f"{inj.a}-card shuffle"
-        )
-    return Permutation(deck)
+    return Permutation(_deck_from_targets(inj.targets, n))
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:
@@ -219,10 +211,19 @@ def _integer(x) -> int:
 
 def _integers(xs) -> tuple[int, ...]:
     """``xs`` as a tuple of ints, each read through ``_integer``; a tuple of
-    ints passes as it is, and anything not iterable raises ``ValueError``."""
+    ints passes as it is, and anything ``_ordered`` refuses raises."""
     if type(xs) is tuple and {*map(type, xs)} <= {int}:
         return xs
-    return tuple(map(_integer, _expect(Iterable, xs)))
+    return tuple(map(_integer, _ordered(xs)))
+
+
+def _ordered(xs):
+    """``xs`` if it is iterable in an order of its own; anything not
+    iterable, and a mapping or a set, whose order is not data, raise
+    ``ValueError``."""
+    if isinstance(_expect(Iterable, xs), (Mapping, Set)):
+        raise ValueError(f"expected an ordered sequence, got {xs!r}")
+    return xs
 
 
 def _in_range(x, lo: int, hi: int, what: str) -> int:

@@ -29,7 +29,7 @@ a term's table is its face's Cayley row.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, partial
 from operator import itemgetter
@@ -58,6 +58,7 @@ from .permutations import (
     _json_list,
     _json_object,
     _min_shuffle_raw,
+    _ordered,
     identity,
 )
 
@@ -74,7 +75,7 @@ class FiniteGroup:
     __slots__ = ("cayley", "inverse")
 
     def __init__(self, cayley: Sequence[Sequence[int]]):
-        table = tuple(map(_integers, _expect(Iterable, cayley)))
+        table = tuple(map(_integers, _ordered(cayley)))
         m = len(table)
         if m == 0:
             raise ValueError("group must have at least one element")
@@ -216,7 +217,7 @@ class GPermutation:
     deck: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        deck = tuple(map(_integers, _expect(Iterable, self.deck)))
+        deck = tuple(map(_integers, _ordered(self.deck)))
         object.__setattr__(self, "deck", deck)
         if any(len(card) != 2 for card in deck):
             raise ValueError("each card is a (face, card) pair")

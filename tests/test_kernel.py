@@ -3,8 +3,10 @@ against identities that hold far beyond brute-force reach, and the
 oracle's fold, checked against a tuple-by-tuple count."""
 
 import functools
+import importlib
 import itertools
 import math
+import pkgutil
 import types
 from collections import Counter
 
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import topshuffle
 from topshuffle import (
     AlgebraElement,
     FiniteGroup,
@@ -169,6 +172,15 @@ def test_faced_ways_match_term_by_term_sum(data):
 CLOSED_FORM = {"_q_row", "q_cardinality", "expansion"}
 
 
+def code_names(code):
+    """Names read by ``code`` and its nested code."""
+    names = set(code.co_names)
+    for c in code.co_consts:
+        if isinstance(c, types.CodeType):
+            names |= code_names(c)
+    return names
+
+
 def reachable_names(fn):
     """Names read by ``fn``'s code and its nested code, followed through
     every package function those names resolve to."""
@@ -178,17 +190,13 @@ def reachable_names(fn):
         if f in seen:
             continue
         seen.add(f)
-        codes = [f.__code__]
-        while codes:
-            code = codes.pop()
-            names.update(code.co_names)
-            for name in code.co_names:
-                g = f.__globals__.get(name)
-                if isinstance(g, types.FunctionType) and g.__module__.startswith(
-                    "topshuffle"
-                ):
-                    todo.append(g)
-            codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+        for name in code_names(f.__code__):
+            names.add(name)
+            g = f.__globals__.get(name)
+            if isinstance(g, types.FunctionType) and g.__module__.startswith(
+                "topshuffle"
+            ):
+                todo.append(g)
     return names
 
 
@@ -249,6 +257,35 @@ def test_compose_shares_nothing_with_the_fold():
     assert FOLD <= reachable_names(algebra.multiply) | reachable_names(wreath.g_multiply)
     assert not reachable_names(compose) & FOLD
     assert not reachable_names(g_compose) & FOLD
+
+
+def package_functions():
+    """Every function and method the package's modules define, by qualified
+    name, with the names its code and its nested code read."""
+    for info in pkgutil.iter_modules(topshuffle.__path__):
+        module = importlib.import_module(f"topshuffle.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            for f in vars(obj).values() if isinstance(obj, type) else [obj]:
+                # Unwrap class and static methods, properties and cached ones.
+                for attr in ("__func__", "fget", "func"):
+                    f = getattr(f, attr, f)
+                if isinstance(f, types.FunctionType):
+                    yield f.__qualname__, code_names(f.__code__)
+
+
+def test_unchecked_constructors_have_only_their_known_callers():
+    # Each caller builds valid data by construction: ``phi`` and
+    # ``iter_segmented_partitions`` canonical labels, ``phi_inverse`` a
+    # permutation.  A new caller needs its own reason, and a place here.
+    known = {
+        "_from_labels": {"phi", "iter_segmented_partitions"},
+        "_trusted": {"phi_inverse"},
+    }
+    functions = list(package_functions())
+    for constructor, callers in known.items():
+        assert {f for f, names in functions if constructor in names} == callers
 
 
 # The raw tallies that ``verify`` compares, decoded here on their own -----------
@@ -339,9 +376,9 @@ def test_elements_of_tallies_build_through_the_checked_constructor():
     with pytest.raises(ValueError, match="not a permutation"):
         bad.terms
     group = FiniteGroup.cyclic(2)
-    faced = GAlgebraElement._of_tally((2, group), {((1, 2), (0, 5)): 1})
+    faced = GAlgebraElement._of_tally((2, group), {((1, 1), (0, 0)): 1})
     assert faced.group is group
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="card labels"):
         faced.terms
 
 

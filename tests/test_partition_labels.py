@@ -70,19 +70,16 @@ def test_labels_agree_with_blocks_and_round_readers():
 
 def test_round_readers_agree_on_partitions_that_break_rounds():
     spec = ShuffleSpec(4, (2, 2))
-    for labels in itertools.product(range(1, 5), repeat=4):
-        try:
-            alpha = SegmentedPartition._from_labels(labels)
-        except ValueError:
-            continue
+    partitions = {
+        SegmentedPartition(
+            [[e for e, b in enumerate(labels, start=1) if b == l] for l in set(labels)]
+        )
+        for labels in itertools.product(range(1, 5), repeat=4)
+    }
+    assert len(partitions) == 15  # every partition of 4 slots
+    for alpha in partitions:
         assert respects_rounds(alpha, spec) == reference_respects_rounds(alpha, spec)
         assert anchor_signature(alpha, spec) == reference_anchor_signature(alpha, spec)
-
-
-@pytest.mark.parametrize("labels", [(2, 1), (1, 3), (0, 1), ()])
-def test_from_labels_refuses_non_canonical_labels(labels):
-    with pytest.raises(ValueError, match="not canonical"):
-        SegmentedPartition._from_labels(labels)
 
 
 def test_from_labels_matches_the_public_constructor():

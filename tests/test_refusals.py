@@ -14,6 +14,7 @@ from topshuffle import (
     GAlgebraElement,
     GPermutation,
     Injection,
+    Permutation,
     SegmentedPartition,
     ShuffleSpec,
     all_permutations,
@@ -54,6 +55,7 @@ from topshuffle import (
     probability_of,
     q_cardinality,
     respects_rounds,
+    shuffle_product,
     stirling2,
     top_to_random,
     total_outcomes,
@@ -379,10 +381,31 @@ def test_algebra_refuses(call):
         lambda: FACED.position_of(True),
         lambda: FACED.face_of(True),
         lambda: GPermutation.plain([1, 2]),
+        (lambda: GPermutation(((0, 1, 2),)), r"each card is a \(face, card\) pair"),
+        (lambda: GPermutation(((0,),)), r"each card is a \(face, card\) pair"),
     ],
 )
 def test_wreath_refuses(call):
-    with pytest.raises(ValueError):
+    call, message = call if isinstance(call, tuple) else (call, None)
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Permutation({2: "a", 1: "b"}),
+        lambda: Permutation({3, 1, 2}),
+        lambda: ShuffleSpec(3, {2: 0, 1: 0}),
+        lambda: Injection(2, {3: 0, 2: 0}),
+        lambda: GPermutation({(0, 2), (0, 1)}),
+        lambda: GPermutation(({0: 1, 1: 0}, (0, 2))),
+        lambda: FiniteGroup({(0, 1), (1, 0)}),
+        lambda: shuffle_product({2, 1}, [3]),
+    ],
+)
+def test_mappings_and_sets_are_refused_where_order_is_data(call):
+    with pytest.raises(ValueError, match="expected an ordered sequence"):
         call()
 
 
