@@ -49,13 +49,13 @@ from .permutations import (
     _expect,
     _int_str,
     _integer,
+    _integers,
     _json_integer,
     _json_list,
     _json_object,
-    _ordered,
 )
 
-# Ordered letters, pairwise distinct; the operand type of shuffle_product.
+# Ordered integer letters, pairwise distinct; the operand type of shuffle_product.
 Word = tuple[int, ...]
 
 DEFAULT_TUPLE_CAP = 10**7
@@ -64,7 +64,7 @@ DEFAULT_TUPLE_CAP = 10**7
 def shuffle_product(u: Sequence[int], v: Sequence[int]) -> list[Word]:
     """All interleavings of ``u`` and ``v`` preserving each word's internal
     order; there are C(|u|+|v|, |u|) of them, pairwise distinct."""
-    u, v = tuple(_ordered(u)), tuple(_ordered(v))
+    u, v = _integers(u), _integers(v)
     if len(set(u)) != len(u) or len(set(v)) != len(v) or set(u) & set(v):
         raise ValueError("shuffle operands must have pairwise distinct letters")
     total = len(u) + len(v)

@@ -37,13 +37,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import _check_cap
 from .permutations import (
     Permutation,
     _expect,
+    _in_range,
     _integer,
     _integers,
     _json_list,
@@ -206,19 +207,20 @@ class SegmentedPartition:
     labels: tuple[int, ...]
 
     def __init__(self, parts: Iterable[Iterable[int]]) -> None:
-        # A block is a set, so its elements may come in any order.
-        parts = [
-            tuple(map(_integer, _expect(Iterable, p))) for p in _expect(Iterable, parts)
-        ]
-        if not parts or not all(parts):
+        # A block is a set, so its elements may come in any order; a mapping
+        # is refused, since reading it would keep its keys and drop its values.
+        blocks = []
+        for p in _expect(Iterable, parts):
+            if isinstance(_expect(Iterable, p), Mapping):
+                raise ValueError(f"expected a block of elements, got {p!r}")
+            blocks.append(tuple(map(_integer, p)))
+        if not blocks or not all(blocks):
             raise ValueError("blocks must be nonempty")
-        size = sum(map(len, parts))
+        size = sum(map(len, blocks))
         labels = [0] * size
-        for b, part in enumerate(sorted(parts, key=min), start=1):
-            for e in part:
-                if not 1 <= e <= size:
-                    raise ValueError(f"element {e} outside 1..{size}")
-                if labels[e - 1]:
+        for b, block in enumerate(sorted(blocks, key=min), start=1):
+            for e in block:
+                if labels[_in_range(e, 1, size, "element") - 1]:
                     raise ValueError(f"element {e} is repeated")
                 labels[e - 1] = b
         object.__setattr__(self, "labels", tuple(labels))

@@ -82,7 +82,7 @@ class Permutation:
 
 def identity(n: int) -> Permutation:
     """The sorted deck ``1 2 ... n``."""
-    n = _integer(n)
+    n = _deck_size(n)
     if n < 1:
         raise ValueError("deck size must be at least 1")
     return Permutation(tuple(range(1, n + 1)))
@@ -188,7 +188,7 @@ def as_injection(p: Permutation) -> Injection:
 def from_injection(inj: Injection, n: int) -> Permutation:
     """The unique deck of size ``n`` sending card ``i`` to ``inj.targets[i-1]``
     with the remaining cards left in increasing order."""
-    n = _integer(n)
+    n = _deck_size(n)
     if any(t > n for t in _expect(Injection, inj).targets):
         raise ValueError(f"target position out of range for deck size {n}")
     return Permutation(_deck_from_targets(inj.targets, n))
@@ -196,7 +196,7 @@ def from_injection(inj: Injection, n: int) -> Permutation:
 
 def all_permutations(n: int) -> Iterator[Permutation]:
     """Every deck of size ``n``, in canonical (lexicographic) order."""
-    for deck in itertools.permutations(range(1, _integer(n) + 1)):
+    for deck in itertools.permutations(range(1, _deck_size(n) + 1)):
         yield Permutation(deck)
 
 
@@ -207,6 +207,15 @@ def _integer(x) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise ValueError(f"{x!r} is not an integer")
     return int(x)
+
+
+def _deck_size(n) -> int:
+    """``n`` as an int no larger than ``sys.maxsize``, the longest a deck
+    can be; a larger one would raise ``OverflowError`` once built."""
+    n = _integer(n)
+    if n > sys.maxsize:
+        raise ValueError(f"deck size {n} exceeds the largest index {sys.maxsize}")
+    return n
 
 
 def _integers(xs) -> tuple[int, ...]:
@@ -284,8 +293,9 @@ def _json_object(data, *keys) -> list:
     return [data[k] for k in keys]
 
 
-# Raw-tuple helpers shared with the sibling modules.  They skip dataclass
-# construction so exhaustive enumerations stay cheap.
+# Raw-tuple helpers: ``compose``, ``inverse``, ``from_injection`` and
+# ``Permutation._min_shuffle`` work on bare decks through them, and the tests'
+# exhaustive walks call them directly, so no step builds a dataclass.
 
 def _compose_decks(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([p[c - 1] for c in q])

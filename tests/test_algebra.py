@@ -272,6 +272,11 @@ def test_element_equality_is_exact():
     assert x != x + y
 
 
+def test_elements_are_unequal_to_other_types():
+    x = top_to_random(1, 2)
+    assert x != object() and x != dict(x.terms)
+
+
 def test_element_json_roundtrip_sorted():
     x = top_to_random(2, 3)
     data = x.as_json()

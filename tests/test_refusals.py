@@ -330,6 +330,8 @@ def test_specs_decks_and_terms_are_read_by_class(call):
         lambda: hat_top_to_random(1, 2, Z2).scale(-1),
         lambda: brute_force_product(ShuffleSpec(2, (1,)), cap=2.5),
         lambda: multiply(top_to_random(1, 2), top_to_random(1, 2), cap=True),
+        lambda: shuffle_product([[1]], [2]),
+        lambda: shuffle_product([1.5], [2]),
     ],
 )
 def test_algebra_refuses(call):
@@ -383,6 +385,9 @@ def test_algebra_refuses(call):
         lambda: GPermutation.plain([1, 2]),
         (lambda: GPermutation(((0, 1, 2),)), r"each card is a \(face, card\) pair"),
         (lambda: GPermutation(((0,),)), r"each card is a \(face, card\) pair"),
+        # The faced accessors refuse a missing card as ``Permutation.position_of`` does.
+        (lambda: GPermutation.identity(2).position_of(3), r"^card 3 outside 1\.\.2$"),
+        (lambda: GPermutation.identity(2).face_of(3), r"^card 3 outside 1\.\.2$"),
     ],
 )
 def test_wreath_refuses(call):
@@ -406,6 +411,27 @@ def test_wreath_refuses(call):
 )
 def test_mappings_and_sets_are_refused_where_order_is_data(call):
     with pytest.raises(ValueError, match="expected an ordered sequence"):
+        call()
+
+
+def test_a_mapping_is_not_a_block_but_a_set_is():
+    with pytest.raises(ValueError, match="expected a block of elements"):
+        SegmentedPartition([{1: "x", 3: "y"}, [2]])
+    assert SegmentedPartition([frozenset({1, 3}), (2,)]).as_json() == [[1, 3], [2]]
+    assert SegmentedPartition([{1, 3}, [2]]).as_json() == [[1, 3], [2]]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: identity(10**30),
+        lambda: GPermutation.identity(10**30),
+        lambda: from_injection(Injection(1, (2,)), 10**30),
+        lambda: next(all_permutations(10**30)),
+    ],
+)
+def test_deck_sizes_past_the_index_range_are_refused(call):
+    with pytest.raises(ValueError, match="exceeds the largest index"):
         call()
 
 

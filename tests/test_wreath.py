@@ -88,10 +88,15 @@ def has_inverses(table):
 
 
 def check_against_brute_force(table):
-    """Accepted exactly when a group; refused as not associative whenever
-    the inverses are there."""
+    """Accepted exactly when a group, with each element's two-sided inverse;
+    refused as not associative whenever the inverses are there."""
     if not non_associative_triples(table) and has_inverses(table):
-        assert FiniteGroup(table).cayley == tuple(map(tuple, table))
+        group = FiniteGroup(table)
+        assert group.cayley == tuple(map(tuple, table))
+        m = len(table)
+        assert group.inverse == tuple(
+            next(b for b in range(m) if table[a][b] == 0 == table[b][a]) for a in range(m)
+        )
         return
     with pytest.raises(ValueError) as refused:
         FiniteGroup(table)
@@ -156,6 +161,12 @@ def test_edited_group_tables_are_accepted_exactly_when_they_are_groups(base, edi
     for a, b, x in edits:
         table[1 + a % (m - 1)][1 + b % (m - 1)] = x % m
     check_against_brute_force(table)
+
+
+def test_groups_compare_and_print_by_their_table():
+    assert Z2 == FiniteGroup([[0, 1], [1, 0]]) and Z2 != Z3
+    assert Z2 != object() and Z2 != Z2.cayley
+    assert repr(S3) == "FiniteGroup(order=6)"
 
 
 def test_group_json_roundtrip():
