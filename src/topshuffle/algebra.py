@@ -46,6 +46,7 @@ from .coefficients import ShuffleSpec, _q_row
 from .errors import _check_cap
 from .permutations import (
     Permutation,
+    _at_least,
     _expect,
     _int_str,
     _integer,
@@ -95,15 +96,10 @@ class _Element:
 
     def _store(self, space: tuple, terms: Mapping) -> None:
         """``space``: the constructor's arguments before ``terms``, n first."""
-        n = _integer(space[0])
-        space = (n, *space[1:])
-        if n < 1:
-            raise ValueError("deck size must be at least 1")
-        self.n, self._space, self._raw = n, space, {}
+        n = _at_least(space[0], 1, "deck size must be at least 1")
+        self.n, self._space, self._raw = n, (n, *space[1:]), {}
         for p, c in _expect(Mapping, terms).items():
-            c = _integer(c)
-            if c < 0:
-                raise ValueError("coefficients must be nonnegative")
+            c = _at_least(c, 0, "coefficients must be nonnegative")
             if c:
                 self._check(p)
                 self._raw[self._encode(p)] = c
@@ -124,10 +120,7 @@ class _Element:
     @classmethod
     def _require(cls, x, y) -> None:
         """Refuse operands that are not both elements of ``cls`` over one space."""
-        for e in (x, y):
-            if type(e) is not cls:
-                raise ValueError(f"expected {cls.__name__}, got {e!r}")
-        if x._space != y._space:
+        if _expect(cls, x)._space != _expect(cls, y)._space:
             raise ValueError(cls._MISMATCH.format(x, y))
 
     @property
@@ -148,9 +141,7 @@ class _Element:
         return [(self._decode(r), c) for r, c in sorted(self._raw.items())]
 
     def scale(self, c: int):
-        c = _integer(c)
-        if c < 0:
-            raise ValueError("coefficients must be nonnegative")
+        c = _at_least(c, 0, "coefficients must be nonnegative")
         return self._of_tally(self._space, {r: c * v for r, v in self._raw.items() if c})
 
     def __add__(self, other):
@@ -215,7 +206,8 @@ class AlgebraElement(_Element):
         return multiply(self, other)
 
     def __repr__(self) -> str:
-        return f"AlgebraElement(n={self.n}, terms={len(self)}, mass={self.mass})"
+        mass = _int_str(self.mass)
+        return f"AlgebraElement(n={self.n}, terms={len(self)}, mass={mass})"
 
 
 def _top_to_random_decks(a: int, n: int) -> list[tuple[int, ...]]:

@@ -81,8 +81,6 @@ def _approx(value: Fraction, digits: int) -> str:
     with localcontext() as ctx:
         ctx.prec, ctx.Emin, ctx.Emax = precision, MIN_EMIN, MAX_EMAX
         rounded = Decimal(value.numerator) / value.denominator
-    if not rounded:
-        return "0"
     exp = rounded.adjusted()
     if -4 <= exp < precision:
         text = f"{rounded:f}"

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from .errors import _check_cap
 from .permutations import (
     Permutation,
+    _at_least,
     _expect,
     _in_range,
     _integer,
@@ -64,10 +65,9 @@ class ShuffleSpec:
     a: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _integer(self.n))
+        n = _at_least(self.n, 1, "deck size must be at least 1")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "a", _integers(self.a))
-        if self.n < 1:
-            raise ValueError("deck size must be at least 1")
         if not self.a:
             raise ValueError("at least one shuffle size is required")
         for x in self.a:
@@ -100,10 +100,8 @@ class ShuffleSpec:
 
 def falling_factorial(m: int, l: int) -> int:
     """Injections of an ``l``-set into an ``m``-set: ``m!/(m-l)!``, 0 if ``l > m``."""
-    m, l = _integer(m), _integer(l)
-    if m < 0 or l < 0:
-        raise ValueError("arguments must be nonnegative")
-    return math.perm(m, l)
+    m = _at_least(m, 0, "arguments must be nonnegative")
+    return math.perm(m, _at_least(l, 0, "arguments must be nonnegative"))
 
 
 # Most cells the Stirling recurrence may fill: ``bell(2000)`` fills 2000**2
@@ -120,9 +118,8 @@ def stirling2(k: int, j: int) -> int:
     Refused with ``CapExceeded`` when its ``k * j`` cells exceed
     ``STIRLING_CELL_CAP``.
     """
-    k, j = _integer(k), _integer(j)
-    if k < 0 or j < 0:
-        raise ValueError("arguments must be nonnegative")
+    k = _at_least(k, 0, "arguments must be nonnegative")
+    j = _at_least(j, 0, "arguments must be nonnegative")
     if j == 0 or j > k:
         return int(k == j)
     _check_cap(k * j, STIRLING_CELL_CAP, "Stirling recurrence cells")
@@ -142,9 +139,7 @@ def _stirling_row(k: int, top: int) -> list[int]:
 def bell(k: int) -> int:
     """Partitions of a ``k``-set into any number of blocks, ``k >= 1``;
     refused with ``CapExceeded`` when ``k * k`` exceeds ``STIRLING_CELL_CAP``."""
-    k = _integer(k)
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = _at_least(k, 1, "k must be at least 1")
     _check_cap(k * k, STIRLING_CELL_CAP, "Stirling recurrence cells")
     return sum(_stirling_row(k, k))
 

@@ -1,6 +1,6 @@
 """Shared exception types, and ``_check_cap``, the one up-front cap check."""
 
-from .permutations import _integer
+from .permutations import _int_str, _integer
 
 
 class CapExceeded(RuntimeError):
@@ -12,7 +12,8 @@ class CapExceeded(RuntimeError):
     """
 
     def __init__(self, required: int, cap: int, unit: str):
-        super().__init__(f"{required} {unit} needed, above the cap of {cap}")
+        message = f"{_int_str(required)} {unit} needed, above the cap of {_int_str(cap)}"
+        super().__init__(message)
         self.required, self.cap, self.unit = required, cap, unit
 
 

@@ -82,9 +82,7 @@ class Permutation:
 
 def identity(n: int) -> Permutation:
     """The sorted deck ``1 2 ... n``."""
-    n = _deck_size(n)
-    if n < 1:
-        raise ValueError("deck size must be at least 1")
+    n = _at_least(_deck_size(n), 1, "deck size must be at least 1")
     return Permutation(tuple(range(1, n + 1)))
 
 
@@ -145,10 +143,9 @@ class Injection:
     targets: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _integer(self.a))
+        a = _at_least(self.a, 0, "domain size must be nonnegative")
+        object.__setattr__(self, "a", a)
         object.__setattr__(self, "targets", _integers(self.targets))
-        if self.a < 0:
-            raise ValueError("domain size must be nonnegative")
         if len(self.targets) != self.a:
             raise ValueError("number of targets must equal the domain size")
         if any(t < 1 for t in self.targets):
@@ -214,7 +211,8 @@ def _deck_size(n) -> int:
     can be; a larger one would raise ``OverflowError`` once built."""
     n = _integer(n)
     if n > sys.maxsize:
-        raise ValueError(f"deck size {n} exceeds the largest index {sys.maxsize}")
+        size = _int_str(n)
+        raise ValueError(f"deck size {size} exceeds the largest index {sys.maxsize}")
     return n
 
 
@@ -239,7 +237,16 @@ def _in_range(x, lo: int, hi: int, what: str) -> int:
     """``x`` as an int in ``lo..hi``; anything else raises ``ValueError``."""
     x = _integer(x)
     if not lo <= x <= hi:
-        raise ValueError(f"{what} {x} outside {lo}..{hi}")
+        raise ValueError(f"{what} {_int_str(x)} outside {lo}..{hi}")
+    return x
+
+
+def _at_least(x, lo: int, message: str) -> int:
+    """``x`` as an int no less than ``lo``; a smaller one raises ``ValueError``
+    with ``message``, and anything ``_integer`` refuses raises as it does."""
+    x = _integer(x)
+    if x < lo:
+        raise ValueError(message)
     return x
 
 
@@ -267,13 +274,13 @@ def _json_integer(x) -> int:
     return int(x)
 
 
-def _int_str(x: int) -> str:
-    """``str(x)`` for an int of any size.  ``str`` refuses an int of more than
-    ``sys.get_int_max_str_digits()`` digits, so such an int is rendered
+def _int_str(x) -> str:
+    """``str(x)``, for an int of any size too.  ``str`` refuses an int of more
+    than ``sys.get_int_max_str_digits()`` digits, so such an int is rendered
     through ``decimal`` instead, and the interpreter's limit is left alone."""
     limit = sys.get_int_max_str_digits()
     # Below 2**(3 * limit), which is below 10**limit, ``str`` always succeeds.
-    if not limit or x.bit_length() <= 3 * limit:
+    if not isinstance(x, int) or not limit or x.bit_length() <= 3 * limit:
         return str(x)
     return str(Decimal(x))
 

@@ -19,6 +19,7 @@ from .algebra import expansion, total_outcomes
 from .coefficients import ShuffleSpec
 from .permutations import (
     Permutation,
+    _at_least,
     _expect,
     _int_str,
     _json_integer,
@@ -71,6 +72,4 @@ def rational_as_json(x: Fraction) -> dict:
 
 def rational_from_json(data: dict) -> Fraction:
     num, den = map(_json_integer, _json_object(data, "num", "den"))
-    if den <= 0:
-        raise ValueError("denominator must be positive")
-    return Fraction(num, den)
+    return Fraction(num, _at_least(den, 1, "denominator must be positive"))

@@ -51,8 +51,10 @@ from .coefficients import ShuffleSpec
 from .errors import _check_cap
 from .permutations import (
     Permutation,
+    _at_least,
     _expect,
     _in_range,
+    _int_str,
     _integer,
     _integers,
     _json_list,
@@ -132,9 +134,7 @@ class FiniteGroup:
         """Integers mod ``m`` under addition; refused with ``CapExceeded``
         before building when the ``m * m`` table cells exceed
         ``DEFAULT_TUPLE_CAP``."""
-        m = _integer(m)
-        if m < 1:
-            raise ValueError("order must be at least 1")
+        m = _at_least(m, 1, "order must be at least 1")
         _check_cap(m * m, DEFAULT_TUPLE_CAP, "table cells")
         # A group by construction, so the table checks are skipped.  The rows
         # are rotations of one tuple and share its int objects.
@@ -346,7 +346,7 @@ class GAlgebraElement(_Element):
     def __repr__(self) -> str:
         return (
             f"GAlgebraElement(n={self.n}, order={self.group.order}, "
-            f"terms={len(self)}, mass={self.mass})"
+            f"terms={len(self)}, mass={_int_str(self.mass)})"
         )
 
 
@@ -400,9 +400,7 @@ def g_multiply(
 def factorization_count(l: int, g: int, group: FiniteGroup) -> int:
     """Number of ``l``-tuples of group elements whose product is ``g``:
     ``order**(l-1)``, the same for every ``g``."""
-    l = _integer(l)
-    if l < 1:
-        raise ValueError("tuple length must be at least 1")
+    l = _at_least(l, 1, "tuple length must be at least 1")
     _expect(FiniteGroup, group)._element(g)
     return group.order ** (l - 1)
 
@@ -413,9 +411,7 @@ def factorization_counts_by_enumeration(
     """Per-element tuple counts obtained by walking all ``order**l`` tuples;
     the independent check of ``factorization_count``, as the product of
     ``l`` one-card faced shuffle sums (the group is the one-card decks)."""
-    l = _integer(l)
-    if l < 1:
-        raise ValueError("tuple length must be at least 1")
+    l = _at_least(l, 1, "tuple length must be at least 1")
     product = g_brute_force_product(ShuffleSpec(1, (1,) * l), group, cap)
     one_card = (GPermutation(((g, 1),)) for g in range(group.order))
     return tuple(map(product.coefficient, one_card))
@@ -507,13 +503,9 @@ def bar_lift_expansion(
     coefficient picks up the factor ``(order**(k-1))**n``, since each of
     the ``n`` final faces factors into ``k`` touches in ``order**(k-1)``
     ways."""
-    k, n = _integer(k), _integer(n)
-    if k < 1:
-        raise ValueError("number of factors must be at least 1")
-    if n < 1:
-        raise ValueError("deck size must be at least 1")
-    base = {r: _integer(c) for r, c in _expect(Mapping, base_coefficients).items()}
-    if any(c < 0 for c in base.values()):
-        raise ValueError("base coefficients must be nonnegative")
+    k = _at_least(k, 1, "number of factors must be at least 1")
+    n = _at_least(n, 1, "deck size must be at least 1")
+    items = _expect(Mapping, base_coefficients).items()
+    base = {r: _at_least(c, 0, "base coefficients must be nonnegative") for r, c in items}
     factor = (_expect(FiniteGroup, group).order ** (k - 1)) ** n
     return {r: c * factor for r, c in base.items()}

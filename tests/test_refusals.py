@@ -2,7 +2,9 @@
 cap names the unit it counts."""
 
 import inspect
+import math
 from collections.abc import Iterator
+from decimal import Decimal
 
 import pytest
 
@@ -63,6 +65,7 @@ from topshuffle import (
 )
 from topshuffle.algebra import DEFAULT_TUPLE_CAP
 from topshuffle.coefficients import STIRLING_CELL_CAP
+from topshuffle.probability import rational_from_json
 from topshuffle.wreath import g_expansion_element
 
 Z2 = FiniteGroup.cyclic(2)
@@ -114,6 +117,10 @@ def test_elements_of_the_other_algebra_are_refused():
         bar_lift(faced, Z2)
     with pytest.raises(ValueError, match="not an AlgebraElement"):
         bar_lift({identity(2): 1}, Z2)
+    with pytest.raises(ValueError, match="^expected a AlgebraElement, got "):
+        multiply(top_to_random(1, 2), object())
+    with pytest.raises(ValueError, match="^expected a GAlgebraElement, got "):
+        g_multiply(faced, object())
 
 
 def test_q_cardinality_reads_its_block_count_as_an_integer():
@@ -433,6 +440,78 @@ def test_a_mapping_is_not_a_block_but_a_set_is():
 def test_deck_sizes_past_the_index_range_are_refused(call):
     with pytest.raises(ValueError, match="exceeds the largest index"):
         call()
+
+
+# Each lower bound refuses the integer one below it with its own message.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: AlgebraElement(0, {}), "deck size must be at least 1"),
+        (lambda: AlgebraElement(2, {identity(2): -1}),
+         "coefficients must be nonnegative"),
+        (lambda: top_to_random(1, 2).scale(-1), "coefficients must be nonnegative"),
+        (lambda: ShuffleSpec(0, (1,)), "deck size must be at least 1"),
+        (lambda: falling_factorial(-1, 0), "arguments must be nonnegative"),
+        (lambda: falling_factorial(0, -1), "arguments must be nonnegative"),
+        (lambda: stirling2(-1, 0), "arguments must be nonnegative"),
+        (lambda: stirling2(0, -1), "arguments must be nonnegative"),
+        (lambda: bell(0), "k must be at least 1"),
+        (lambda: identity(0), "deck size must be at least 1"),
+        (lambda: Injection(-1, ()), "domain size must be nonnegative"),
+        (lambda: FiniteGroup.cyclic(0), "order must be at least 1"),
+        (lambda: factorization_count(0, 0, Z2), "tuple length must be at least 1"),
+        (lambda: factorization_counts_by_enumeration(0, Z2),
+         "tuple length must be at least 1"),
+        (lambda: bar_lift_expansion({}, 0, 1, Z2),
+         "number of factors must be at least 1"),
+        (lambda: bar_lift_expansion({}, 1, 0, Z2), "deck size must be at least 1"),
+        (lambda: bar_lift_expansion({1: -1}, 1, 1, Z2),
+         "base coefficients must be nonnegative"),
+        (lambda: rational_from_json({"num": "1", "den": "0"}),
+         "denominator must be positive"),
+    ],
+)
+def test_lower_bounds_refuse_with_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+# Refusals and reprs print integers of any size ---------------------------------------
+
+HUGE = 10**5000  # past ``str``'s default limit of 4300 digits
+
+
+def _count(err) -> int:
+    """The count a cap refusal's message starts with, read without ``str``'s limit."""
+    return int(Decimal(str(err.value).split()[0]))
+
+
+def test_cap_refusals_print_huge_counts(capsys):
+    assert cli.run(["verify", "--n", "52", "--a", ",".join(["52"] * 200)]) == 2
+    assert "tuples needed" in capsys.readouterr().err
+    with pytest.raises(CapExceeded) as err:
+        expansion_element(ShuffleSpec(3000, (3000,)))
+    assert err.value.required == _count(err) == math.factorial(3000)
+    with pytest.raises(CapExceeded) as err:
+        stirling2(HUGE, 1)
+    assert err.value.required == _count(err) == HUGE
+
+
+def test_reprs_print_huge_masses():
+    mass = "1" + "0" * 5000
+    assert repr(AlgebraElement(2, {identity(2): HUGE})) == (
+        f"AlgebraElement(n=2, terms=1, mass={mass})"
+    )
+    assert repr(GAlgebraElement(2, Z2, {GPermutation.identity(2): HUGE})) == (
+        f"GAlgebraElement(n=2, order=2, terms=1, mass={mass})"
+    )
+
+
+def test_range_refusals_print_huge_integers():
+    with pytest.raises(ValueError, match="exceeds the largest index"):
+        identity(HUGE)
+    with pytest.raises(ValueError, match=f"^position 1{'0' * 5000} outside 1\\.\\.3$"):
+        identity(3).card_at(HUGE)
 
 
 # Every public callable refuses junk in any one position ---------------------------
