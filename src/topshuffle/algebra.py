@@ -43,7 +43,7 @@ from operator import add, attrgetter, itemgetter, mul
 from types import MappingProxyType
 
 from .coefficients import ShuffleSpec, _q_row
-from .errors import _check_cap
+from .errors import DEFAULT_TUPLE_CAP, _check_cap
 from .permutations import (
     Permutation,
     _at_least,
@@ -54,12 +54,11 @@ from .permutations import (
     _json_integer,
     _json_list,
     _json_object,
+    _shown,
 )
 
 # Ordered integer letters, pairwise distinct; the operand type of shuffle_product.
 Word = tuple[int, ...]
-
-DEFAULT_TUPLE_CAP = 10**7
 
 
 def shuffle_product(u: Sequence[int], v: Sequence[int]) -> list[Word]:
@@ -115,7 +114,8 @@ class _Element:
 
     def _check(self, p) -> None:
         if not isinstance(p, self._DECK) or p.n != self.n:
-            raise ValueError(f"{p!r} is not a {self._DECK.__name__} of size {self.n}")
+            shown = _shown(p)
+            raise ValueError(f"{shown} is not a {self._DECK.__name__} of size {self.n}")
 
     @classmethod
     def _require(cls, x, y) -> None:

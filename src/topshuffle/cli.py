@@ -27,15 +27,6 @@ ENV_CAP = "TOPSHUFFLE_BRUTE_CAP"
 MAX_DIGITS = 100_000
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad usage; we reserve 2 for resource
-    caps, so usage errors exit 1 instead."""
-
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def _spec(args) -> ShuffleSpec:
     try:
         sizes = tuple(int(x) for x in args.a.split(","))
@@ -94,72 +85,63 @@ def _blocks_text(alpha: SegmentedPartition) -> str:
     return " | ".join(",".join(map(str, block)) for block in alpha.as_json())
 
 
-def _add_spec_args(sub: argparse.ArgumentParser, group: bool = True) -> None:
-    sub.add_argument("--n", type=int, required=True, help="deck size")
-    sub.add_argument(
-        "--a", type=str, required=True, help="comma-separated shuffle sizes"
-    )
-    if group:
-        sub.add_argument(
-            "--group", type=str, default=None, help="cyclic:M or table:FILE"
-        )
-    sub.add_argument(
-        "--format", choices=("json", "text"), default="json", help="output format"
-    )
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on first use.  It is shared:
     callers must not mutate it.  ``parse_args`` returns a fresh namespace on
     each call, and the environment is read when a command runs, not here."""
-    parser = _Parser(prog="topshuffle", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("expand", help="expansion coefficients")
-    _add_spec_args(p)
-
-    p = sub.add_parser(
-        "brute", help="full product element by enumeration"
+    parser = argparse.ArgumentParser(prog="topshuffle", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--n", type=int, required=True, help="deck size")
+    spec.add_argument(
+        "--a", type=str, required=True, help="comma-separated shuffle sizes"
     )
-    _add_spec_args(p)
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument(
+        "--group", type=str, default=None, help="cyclic:M or table:FILE"
+    )
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument(
+        "--format", choices=("json", "text"), default="json", help="output format"
+    )
+    plain, faced = [spec, fmt], [spec, group, fmt]
+
+    def command(name, handler, parents, **kw):
+        p = sub.add_parser(name, parents=parents, **kw)
+        p.set_defaults(handler=handler)
+        return p
+
+    command("expand", _cmd_expand, faced, help="expansion coefficients")
+
+    p = command("brute", _cmd_brute, faced, help="full product element by enumeration")
     p.add_argument("--cap", type=int, default=None, help="tuple enumeration cap")
 
-    p = sub.add_parser(
-        "verify", help="expansion against the enumeration oracle"
+    p = command(
+        "verify", _cmd_verify, faced, help="expansion against the enumeration oracle"
     )
-    _add_spec_args(p)
     p.add_argument("--cap", type=int, default=None)
 
-    p = sub.add_parser("coeff", help="single expansion coefficient")
-    _add_spec_args(p, group=False)
+    p = command("coeff", _cmd_coeff, plain, help="single expansion coefficient")
     p.add_argument("--j", type=int, required=True, help="number of touched cards")
 
-    p = sub.add_parser(
-        "partitions", help="stream the j-block round-partitions"
+    p = command(
+        "partitions", _cmd_partitions, plain, help="stream the j-block round-partitions"
     )
-    _add_spec_args(p, group=False)
     p.add_argument("--j", type=int, required=True)
 
-    p = sub.add_parser(
-        "phi", help="round-partition of a shuffle sequence"
-    )
-    _add_spec_args(p, group=False)
+    p = command("phi", _cmd_phi, plain, help="round-partition of a shuffle sequence")
     p.add_argument(
         "--decks", type=str, required=True, help="JSON list of decks, one per round"
     )
 
-    p = sub.add_parser(
-        "phi-inverse", help="shuffle sequence from a partition"
+    p = command(
+        "phi-inverse", _cmd_phi_inverse, plain, help="shuffle sequence from a partition"
     )
-    _add_spec_args(p, group=False)
     p.add_argument("--alpha", type=str, required=True, help="JSON list of blocks")
     p.add_argument("--target", type=str, required=True, help="JSON deck")
 
-    p = sub.add_parser(
-        "prob", help="ways and probability of a target deck"
-    )
-    _add_spec_args(p)
+    p = command("prob", _cmd_prob, faced, help="ways and probability of a target deck")
     p.add_argument(
         "--target",
         type=str,
@@ -168,14 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--digits", type=_digits, help="also print a decimal approximation")
 
-    p = sub.add_parser("stirling", help="Stirling set number")
+    p = command("stirling", _cmd_stirling, [fmt], help="Stirling set number")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
-    p.add_argument("--format", choices=("json", "text"), default="json")
 
-    p = sub.add_parser("bell", help="Bell number")
+    p = command("bell", _cmd_bell, [fmt], help="Bell number")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--format", choices=("json", "text"), default="json")
 
     return parser
 
@@ -295,30 +275,17 @@ def _cmd_bell(args):
     yield 0, {"value": value}, value
 
 
-_COMMANDS = {
-    "expand": _cmd_expand,
-    "brute": _cmd_brute,
-    "verify": _cmd_verify,
-    "coeff": _cmd_coeff,
-    "partitions": _cmd_partitions,
-    "phi": _cmd_phi,
-    "phi-inverse": _cmd_phi_inverse,
-    "prob": _cmd_prob,
-    "stirling": _cmd_stirling,
-    "bell": _cmd_bell,
-}
-
-
 def run(argv: Sequence[str]) -> int:
     """Parse and dispatch; returns the process exit status."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # argparse exits 2 on bad usage, but 2 is the cap's code: usage errors exit 1.
+        return 1 if exc.code else 0
     code = 0
     try:
-        for code, value, text in _COMMANDS[args.command](args):
+        for code, value, text in args.handler(args):
             print(text if args.format == "text" else json.dumps(value))
         return code
     except CapExceeded as exc:

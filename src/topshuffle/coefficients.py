@@ -40,7 +40,7 @@ import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
-from .errors import _check_cap
+from .errors import DEFAULT_TUPLE_CAP, _check_cap
 from .permutations import (
     Permutation,
     _at_least,
@@ -329,7 +329,11 @@ def iter_segmented_partitions(
 def enumerate_segmented_partitions(
     spec: ShuffleSpec, j: int
 ) -> list[SegmentedPartition]:
-    """List form of ``iter_segmented_partitions``."""
+    """List form of ``iter_segmented_partitions``; refused with
+    ``CapExceeded`` above ``DEFAULT_TUPLE_CAP`` partitions."""
+    a, j = _expect(ShuffleSpec, spec).a, _integer(j)
+    count = _q_row(a, j)[j] if 0 <= j <= spec.total else 0
+    _check_cap(count, DEFAULT_TUPLE_CAP, "partitions")
     return list(iter_segmented_partitions(spec, j))
 
 

@@ -2,13 +2,15 @@
 
 from .permutations import _int_str, _integer
 
+DEFAULT_TUPLE_CAP = 10**7
+
 
 class CapExceeded(RuntimeError):
     """Building or counting something would take more units than allowed.
 
     ``unit`` names what ``required`` and ``cap`` count: terms, compositions,
-    tuples, table cells or recurrence cells.  Raised up front, before any
-    work is done; results are never silently truncated.
+    tuples, partitions, table cells or recurrence cells.  Raised up front,
+    before any work is done; results are never silently truncated.
     """
 
     def __init__(self, required: int, cap: int, unit: str):

@@ -254,7 +254,7 @@ def _expect(cls: type, x):
     """``x`` if it is a ``cls``; anything else, such as a faced deck where a
     plain one belongs, raises ``ValueError``."""
     if not isinstance(x, cls):
-        raise ValueError(f"expected a {cls.__name__}, got {x!r}")
+        raise ValueError(f"expected a {cls.__name__}, got {_shown(x)}")
     return x
 
 
@@ -285,10 +285,15 @@ def _int_str(x) -> str:
     return str(Decimal(x))
 
 
+def _shown(x) -> str:
+    """``repr(x)`` for a message, through ``_int_str`` for an int of any size."""
+    return _int_str(x) if type(x) is int else repr(x)
+
+
 def _json_list(data):
     """``data`` if it has the shape of a JSON list; anything else raises."""
     if not isinstance(data, (list, tuple)):
-        raise ValueError(f"expected a JSON list, got {data!r}")
+        raise ValueError(f"expected a JSON list, got {_shown(data)}")
     return data
 
 
@@ -296,7 +301,8 @@ def _json_object(data, *keys) -> list:
     """The values of ``keys`` in ``data`` if it is a JSON object holding
     them all; anything else raises."""
     if not isinstance(data, dict) or not data.keys() >= set(keys):
-        raise ValueError(f"expected a JSON object with {', '.join(keys)}, got {data!r}")
+        names = ", ".join(keys)
+        raise ValueError(f"expected a JSON object with {names}, got {_shown(data)}")
     return [data[k] for k in keys]
 
 

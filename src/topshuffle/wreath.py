@@ -60,6 +60,7 @@ from .permutations import (
     _json_list,
     _json_object,
     _ordered,
+    _shown,
     identity,
     min_shuffle_size,
 )
@@ -87,8 +88,9 @@ class FiniteGroup:
         for row in table:
             if len(row) != m:
                 raise ValueError("multiplication table must be square")
-            for x in row:
-                _in_range(x, 0, m - 1, "table entry")
+            if min(row) < 0 or max(row) >= m:
+                for x in row:  # the first bad cell names itself
+                    _in_range(x, 0, m - 1, "table entry")
         for i in range(m):
             if table[0][i] != i or table[i][0] != i:
                 raise ValueError("element 0 must act as the identity")
@@ -489,7 +491,7 @@ def bar_lift(x, group: FiniteGroup, cap: int = DEFAULT_TUPLE_CAP) -> GAlgebraEle
     """Face-spin every term of a plain element, keeping its coefficients.
     Refuses up front when the ``len(x) * order**n`` terms exceed ``cap``."""
     if not isinstance(x, AlgebraElement):
-        raise ValueError(f"{x!r} is not an AlgebraElement")
+        raise ValueError(f"{_shown(x)} is not an AlgebraElement")
     _check_cap(len(x) * _expect(FiniteGroup, group).order ** x.n, cap, "terms")
     spins = partial(itertools.product, range(group.order), repeat=x.n)
     terms = {(d, f): c for d, c in x._raw.items() for f in spins()}

@@ -328,6 +328,42 @@ def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0
 
 
+# One valid call per subcommand; the test below breaks each one three ways.
+VALID_CALLS = {
+    "expand": ["--n", "3", "--a", "1"],
+    "brute": ["--n", "3", "--a", "1"],
+    "verify": ["--n", "3", "--a", "1"],
+    "coeff": ["--n", "3", "--a", "1", "--j", "1"],
+    "partitions": ["--n", "3", "--a", "1", "--j", "1"],
+    "phi": ["--n", "3", "--a", "1", "--decks", "[[1,2,3]]"],
+    "phi-inverse": ["--n", "3", "--a", "1", "--alpha", "[[1]]", "--target", "[1,2,3]"],
+    "prob": ["--n", "3", "--a", "1", "--target", "[1,2,3]"],
+    "stirling": ["--k", "3", "--j", "2"],
+    "bell": ["--k", "3"],
+}
+
+
+def test_valid_calls_cover_every_subcommand(capsys):
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    assert out.split("{", 1)[1].split("}", 1)[0].split(",") == list(VALID_CALLS)
+
+
+@pytest.mark.parametrize("command", VALID_CALLS)
+def test_every_subcommand_exits_1_on_usage_errors(capsys, command):
+    valid = VALID_CALLS[command]
+    code, out, _ = run_cli(capsys, command, *valid)
+    assert code == 0 and out
+    for argv in (
+        valid[2:],  # the first required option left out
+        [*valid, "--bogus"],
+        [*valid, "--format", "xml"],
+    ):
+        assert run_cli(capsys, command, *argv)[:2] == (1, ""), argv
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0 and out.startswith(f"usage: topshuffle {command} ")
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 

@@ -65,6 +65,7 @@ from topshuffle import (
 )
 from topshuffle.algebra import DEFAULT_TUPLE_CAP
 from topshuffle.coefficients import STIRLING_CELL_CAP
+from topshuffle.permutations import _expect
 from topshuffle.probability import rational_from_json
 from topshuffle.wreath import g_expansion_element
 
@@ -179,6 +180,8 @@ CAPS = [
     (lambda: stirling2(3000, 2000), "Stirling recurrence cells", 6 * 10**6,
      STIRLING_CELL_CAP),
     (lambda: bell(2001), "Stirling recurrence cells", 2001**2, STIRLING_CELL_CAP),
+    (lambda: enumerate_segmented_partitions(ShuffleSpec(52, (1,) * 40), 20), "partitions",
+     162188909527975750487887236507181, DEFAULT_TUPLE_CAP),
 ]
 
 
@@ -479,6 +482,7 @@ def test_lower_bounds_refuse_with_their_message(call, message):
 # Refusals and reprs print integers of any size ---------------------------------------
 
 HUGE = 10**5000  # past ``str``'s default limit of 4300 digits
+HUGE_TEXT = "1" + "0" * 5000
 
 
 def _count(err) -> int:
@@ -505,6 +509,22 @@ def test_reprs_print_huge_masses():
     assert repr(GAlgebraElement(2, Z2, {GPermutation.identity(2): HUGE})) == (
         f"GAlgebraElement(n=2, order=2, terms=1, mass={mass})"
     )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _expect(Permutation, HUGE), f"expected a Permutation, got {HUGE_TEXT}"),
+        (lambda: Permutation.from_json(HUGE), f"expected a JSON list, got {HUGE_TEXT}"),
+        (lambda: AlgebraElement(2, {HUGE: 1}), f"{HUGE_TEXT} is not a Permutation of size 2"),
+        (lambda: bar_lift(HUGE, Z2), f"{HUGE_TEXT} is not an AlgebraElement"),
+    ],
+    ids=["_expect", "from_json", "AlgebraElement", "bar_lift"],
+)
+def test_type_refusals_print_huge_integers(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_range_refusals_print_huge_integers():

@@ -72,6 +72,19 @@ def test_group_validation_rejects_bad_tables():
         FiniteGroup([[0, 1, 2], [1, 2, 2], [2, 2, 1]])
 
 
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([[0, 1], [1, 2]], "table entry 2 outside 0..1"),
+        ([[0, 1, 2], [1, 3, -1], [-2, 0, 1]], "table entry 3 outside 0..2"),
+        ([[0, 1, 2], [1, 2, 0], [-2, 0, 1]], "table entry -2 outside 0..2"),
+    ],
+)
+def test_group_validation_names_the_first_bad_entry(table, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FiniteGroup(table)
+
+
 def non_associative_triples(table):
     """Every triple checked directly: cubic, small tables only."""
     m = len(table)
