@@ -212,12 +212,13 @@ class AlgebraElement(_Element):
 
 def _top_to_random_decks(a: int, n: int) -> list[tuple[int, ...]]:
     """Raw decks of ``top_to_random(a, n)``, ordered lexicographically by the
-    positions chosen for cards ``1..a``: card 1 goes to each position in
-    turn, and cards ``2..a`` follow the order of the ``(a-1, n-1)`` list."""
-    if a == 0:
-        return [tuple(range(1, n + 1))]
-    rest = [tuple([c + 1 for c in d]) for d in _top_to_random_decks(a - 1, n - 1)]
-    return [d[:i] + (1,) + d[i:] for i in range(n) for d in rest]
+    positions chosen for cards ``1..a``: starting from the untouched cards
+    ``a+1..n``, cards ``a, ..., 1`` are inserted in turn at every position,
+    the newest card's position varying slowest."""
+    decks = [tuple(range(a + 1, n + 1))]
+    for c in range(a, 0, -1):
+        decks = [d[:i] + (c,) + d[i:] for i in range(n - c + 1) for d in decks]
+    return decks
 
 
 def _insertion_decks(m: int, n: int) -> list[tuple[int, ...]]:
@@ -347,8 +348,7 @@ def expansion(spec: ShuffleSpec) -> dict[int, int]:
     """Coefficients ``{j: count}`` with the product of the spec's shuffle
     sums equal to ``sum_j count * top_to_random(j, n)``; keys are exactly
     the ``j`` in ``[max(a), min(sum(a), n)]`` with a nonzero count."""
-    row = _q_row(_expect(ShuffleSpec, spec).a, spec.j_max)
-    return {j: c for j in range(spec.j_min, spec.j_max + 1) if (c := row[j])}
+    return _q_row(_expect(ShuffleSpec, spec).a, spec.j_max)
 
 
 def expansion_element(

@@ -20,7 +20,7 @@ from typing import Sequence
 from . import algebra, coefficients, probability, wreath
 from .coefficients import SegmentedPartition, ShuffleSpec
 from .errors import CapExceeded
-from .permutations import Permutation, _int_str, _json_list
+from .permutations import Permutation, _int_str, _json_list, _shown
 from .wreath import FiniteGroup, GPermutation
 
 ENV_CAP = "TOPSHUFFLE_BRUTE_CAP"
@@ -31,7 +31,7 @@ def _spec(args) -> ShuffleSpec:
     try:
         sizes = tuple(int(x) for x in args.a.split(","))
     except ValueError:
-        raise ValueError(f"cannot parse shuffle sizes {args.a!r}")
+        raise ValueError(f"cannot parse shuffle sizes {_shown(args.a)}")
     return ShuffleSpec(args.n, sizes)
 
 
@@ -44,7 +44,7 @@ def _group(args) -> FiniteGroup | None:
     if kind == "table":
         with open(arg, "r", encoding="utf-8") as handle:
             return FiniteGroup.from_json(json.load(handle))
-    raise ValueError(f"unknown group spec {args.group!r}; use cyclic:M or table:FILE")
+    raise ValueError(f"unknown group spec {_shown(args.group)}; use cyclic:M or table:FILE")
 
 
 def _cap(args) -> int:

@@ -14,13 +14,14 @@ enumerates the partitions, anchor tuple by anchor tuple (the counts of
 fresh cards per round).
 
 ``q_cardinality`` counts them without enumeration.  ``_q_row`` carries,
-round by round, the weight of the partial partitions by the number of
-blocks opened so far: a round of ``ac`` slots that opens ``l`` new blocks
-chooses its fresh slots in ``comb(ac, l)`` ways and seats the other
-``ac - l`` slots in distinct opened blocks in ``perm(opened, ac - l)``
-ways.  One pass over the rounds gives every count ``q_j`` at once, in
-``O(k * j_max * max(a))`` arithmetic operations, where the anchor tuples
-alone number ``C(k-1, j-1)`` for single-card rounds.  ``stirling2`` and
+round by round, a mapping from each number of blocks the rounds so far
+can have opened to the weight of the partial partitions that opened that
+many: a round of ``ac`` slots that opens ``l`` new blocks chooses its
+fresh slots in ``comb(ac, l)`` ways and seats the other ``ac - l`` slots
+in distinct opened blocks in ``perm(opened, ac - l)`` ways.  One pass over
+the rounds gives every nonzero count ``q_j`` at once, keyed by the ``j``
+reached, in ``O(k * j_max * max(a))`` arithmetic operations, where the
+anchor tuples alone number ``C(k-1, j-1)`` for single-card rounds.  ``stirling2`` and
 ``bell`` keep their own recurrence, so they stay an independent check.
 
 A ``SegmentedPartition`` is stored as one tuple of block labels:
@@ -49,6 +50,7 @@ from .permutations import (
     _integer,
     _integers,
     _json_list,
+    _shown,
     is_term_of,
     min_shuffle_size,
 )
@@ -72,7 +74,7 @@ class ShuffleSpec:
             raise ValueError("at least one shuffle size is required")
         for x in self.a:
             if not 1 <= x <= self.n:
-                raise ValueError(f"shuffle size {x} outside 1..{self.n}")
+                raise ValueError(f"shuffle size {_shown(x)} outside 1..{_shown(self.n)}")
 
     @property
     def k(self) -> int:
@@ -166,29 +168,25 @@ def q_cardinality(spec: ShuffleSpec, j: int) -> int:
     0 outside the reachable range ``[max(a), min(sum(a), n)]``."""
     _expect(ShuffleSpec, spec)
     j = _integer(j)
-    if j < spec.j_min or j > spec.j_max:
+    if j > spec.n:
         return 0
-    return _q_row(spec.a, j)[j]
+    return _q_row(spec.a, j).get(j, 0)
 
 
-def _q_row(a: tuple[int, ...], top: int) -> list[int]:
-    """``[q_0, ..., q_top]``: round-partition counts by number of blocks.
-
+def _q_row(a: tuple[int, ...], top: int) -> dict[int, int]:
+    """``{j: q_j}``, round-partition counts by number of blocks ``j <= top``,
+    for the ``j`` the rounds reach: keys increasing, every count positive.
     ``row[o]`` weighs the partial partitions of the rounds so far that
-    opened ``o`` blocks.  Blocks never close, so states above ``top`` are
-    dropped.
+    opened ``o`` blocks, none before the first round.  Blocks never close,
+    so states above ``top`` are dropped.
     """
-    row = [0] * (top + 1)
-    if a[0] > top:
-        return row
-    row[a[0]] = 1
-    for ac in a[1:]:
-        fresh = [math.comb(ac, l) for l in range(ac + 1)]
-        nxt = [0] * (top + 1)
-        for opened, weight in enumerate(row):
-            if weight:
-                for l in range(max(0, ac - opened), min(ac, top - opened) + 1):
-                    nxt[opened + l] += weight * fresh[l] * math.perm(opened, ac - l)
+    row = {0: 1}
+    for ac in a:
+        nxt: dict[int, int] = {}
+        for opened, weight in row.items():
+            for l in range(max(0, ac - opened), min(ac, top - opened) + 1):
+                w = weight * math.comb(ac, l) * math.perm(opened, ac - l)
+                nxt[opened + l] = nxt.get(opened + l, 0) + w
         row = nxt
     return row
 
@@ -207,7 +205,7 @@ class SegmentedPartition:
         blocks = []
         for p in _expect(Iterable, parts):
             if isinstance(_expect(Iterable, p), Mapping):
-                raise ValueError(f"expected a block of elements, got {p!r}")
+                raise ValueError(f"expected a block of elements, got {_shown(p)}")
             blocks.append(tuple(map(_integer, p)))
         if not blocks or not all(blocks):
             raise ValueError("blocks must be nonempty")
@@ -246,7 +244,7 @@ class SegmentedPartition:
         """1-based index of the block containing ``element``."""
         e = _integer(element)
         if not 1 <= e <= self.size:
-            raise ValueError(f"element {element} not in partition")
+            raise ValueError(f"element {_shown(element)} not in partition")
         return self.labels[e - 1]
 
     def as_json(self) -> list[list[int]]:
@@ -332,8 +330,7 @@ def enumerate_segmented_partitions(
     """List form of ``iter_segmented_partitions``; refused with
     ``CapExceeded`` above ``DEFAULT_TUPLE_CAP`` partitions."""
     a, j = _expect(ShuffleSpec, spec).a, _integer(j)
-    count = _q_row(a, j)[j] if 0 <= j <= spec.total else 0
-    _check_cap(count, DEFAULT_TUPLE_CAP, "partitions")
+    _check_cap(_q_row(a, j).get(j, 0), DEFAULT_TUPLE_CAP, "partitions")
     return list(iter_segmented_partitions(spec, j))
 
 
@@ -358,7 +355,7 @@ def phi(sigmas: Sequence[Permutation], spec: ShuffleSpec) -> SegmentedPartition:
             raise ValueError(f"deck size {sigma.n} does not match spec size {n}")
         if shuffled > ai:
             raise ValueError(
-                f"{sigma.deck!r} cannot result from shuffling {ai} cards"
+                f"{_shown(sigma.deck)} cannot result from shuffling {ai} cards"
             )
         touched += deck[:ai]
         deck = [deck[c - 1] for c in sigma.deck]
@@ -384,7 +381,7 @@ def phi_inverse(
     tops = _round_slices(alpha, spec)
     if not is_term_of(t, alpha.j):
         raise ValueError(
-            f"deck {t.deck!r} cannot result from shuffling {alpha.j} cards"
+            f"deck {_shown(t.deck)} cannot result from shuffling {alpha.j} cards"
         )
     deck = list(t.deck)
     sigmas: list[Permutation] = [None] * spec.k  # type: ignore[list-item]

@@ -43,7 +43,7 @@ class Permutation:
         if n == 0:
             raise ValueError("empty deck")
         if sorted(deck) != list(range(1, n + 1)):
-            raise ValueError(f"deck {deck!r} is not a permutation of 1..{n}")
+            raise ValueError(f"deck {_shown(deck)} is not a permutation of 1..{n}")
 
     @classmethod
     def _trusted(cls, deck: tuple[int, ...]) -> "Permutation":
@@ -154,7 +154,7 @@ class Injection:
             raise ValueError("targets must be pairwise distinct")
         if self.a >= 1 and not self._is_minimal():
             raise ValueError(
-                f"injection {self.targets!r} would need fewer than {self.a} "
+                f"injection {_shown(self.targets)} would need fewer than {self.a} "
                 "shuffled cards"
             )
 
@@ -202,7 +202,7 @@ def _integer(x) -> int:
     if type(x) is float and x.is_integer():
         return int(x)
     if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"{x!r} is not an integer")
+        raise ValueError(f"{_shown(x)} is not an integer")
     return int(x)
 
 
@@ -229,7 +229,7 @@ def _ordered(xs):
     iterable, and a mapping or a set, whose order is not data, raise
     ``ValueError``."""
     if isinstance(_expect(Iterable, xs), (Mapping, Set)):
-        raise ValueError(f"expected an ordered sequence, got {xs!r}")
+        raise ValueError(f"expected an ordered sequence, got {_shown(xs)}")
     return xs
 
 
@@ -286,8 +286,16 @@ def _int_str(x) -> str:
 
 
 def _shown(x) -> str:
-    """``repr(x)`` for a message, through ``_int_str`` for an int of any size."""
-    return _int_str(x) if type(x) is int else repr(x)
+    """``x`` for a message, never raising: an int in full through ``_int_str``,
+    anything else by its ``repr`` cut to 300 characters, or by its type's
+    name when ``repr`` fails, as on a container holding a huge int."""
+    if type(x) is int:
+        return _int_str(x)
+    try:
+        text = repr(x)
+    except Exception:  # a caller's ``__repr__`` may raise anything
+        return f"<unprintable {type(x).__name__}>"
+    return text if len(text) <= 300 else text[:300] + "..."
 
 
 def _json_list(data):

@@ -354,17 +354,16 @@ class GAlgebraElement(_Element):
 
 def _hat_decks_raw(a: int, n: int, order: int) -> Iterator:
     """Raw terms of ``hat_top_to_random``: each of ``_top_to_random_decks``
-    with every spin of cards ``1..a``, by position; decks that touch the same
-    positions share one spin list.  The deck's own getter, not the fold's,
-    reads a spin at its cards; a one-card deck's spins are already by position."""
+    with every face at the positions of cards ``1..a`` and the identity face
+    elsewhere; decks that touch the same positions share one face list."""
     # Shared: a spin product per deck ran oracle-faced 10 % slower (perfbench, 2 vCPUs).
-    spins = [f + (0,) * (n - a) for f in itertools.product(range(order), repeat=a)]
-    touched, by_position = (1,) * a + (0,) * (n - a), {}
+    by_position: dict = {}
     for deck in _top_to_random_decks(a, n):
-        g = itemgetter(*[c - 1 for c in deck]) if n > 1 else tuple
-        key = g(touched)
-        faces = by_position.get(key) or by_position.setdefault(key, list(map(g, spins)))
-        yield from zip(itertools.repeat(deck), faces)
+        key = tuple([c <= a for c in deck])
+        if key not in by_position:
+            spins = [range(order) if touched else (0,) for touched in key]
+            by_position[key] = list(itertools.product(*spins))
+        yield from zip(itertools.repeat(deck), by_position[key])
 
 
 def _hat_insertions(m: int, n: int, order: int) -> list:

@@ -52,6 +52,13 @@ def test_cyclic_group_past_the_cap_exits_2(capsys):
     assert run_cli(capsys, *argv, "cyclic:2000")[0] == 0
 
 
+def test_expand_answers_a_huge_single_shuffle(capsys):
+    huge = str(10**30)
+    code, out, err = run_cli(capsys, "expand", "--n", huge, "--a", huge)
+    assert (code, err) == (0, "")
+    assert out == f'{{"{huge}": "1"}}\n'
+
+
 def test_expand_text_format(capsys):
     code, out, _ = run_cli(capsys, "expand", "--n", "3", "--a", "1,1", "--format", "text")
     assert code == 0

@@ -1,5 +1,7 @@
 """Every name a module of the package imports is read in that module, so a
-deletion that leaves an import behind fails here."""
+deletion that leaves an import behind fails here; and no message formats a
+value with ``!r``, which neither bounds its length nor survives an int past
+``str``'s limit on digits (``permutations._shown`` does both)."""
 
 import ast
 from pathlib import Path
@@ -35,3 +37,14 @@ def test_every_import_is_read(path):
     }
     unread = [name for name in _imported_names(tree) if name not in read]
     assert not unread, f"{path.name} imports {unread} but never reads them"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_f_string_formats_with_repr(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FormattedValue) and node.conversion == ord("r")
+    ]
+    assert not lines, f"{path.name} formats with !r on lines {lines}; use _shown"

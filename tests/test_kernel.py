@@ -68,28 +68,51 @@ def test_row_equals_anchor_sum_exhaustively():
             for a in itertools.product(range(1, n + 1), repeat=k):
                 spec = ShuffleSpec(n, a)
                 row = _q_row(a, spec.j_max)
-                assert len(row) == spec.j_max + 1
+                assert set(row) <= set(range(spec.j_min, spec.j_max + 1))
+                assert list(row) == sorted(row)
                 for j in range(spec.j_max + 1):
-                    assert row[j] == anchor_sum(spec, j), (n, a, j)
-                    assert q_cardinality(spec, j) == row[j]
-                    assert _q_row(a, j)[j] == row[j]
+                    assert row.get(j, 0) == anchor_sum(spec, j), (n, a, j)
+                    assert q_cardinality(spec, j) == row.get(j, 0)
+                    assert _q_row(a, j).get(j, 0) == row.get(j, 0)
                 checked += 1
     assert checked == sum(n**k for n in range(1, 8) for k in range(1, 5))
 
 
 def test_count_without_truncation_reaches_past_the_deck():
     assert _q_row((2, 2), 4)[4] == 1  # both slots of round 2 open blocks
-    assert _q_row((2, 2), 5)[5] == 0
-    assert _q_row((3, 1), 2) == [0, 0, 0]  # round 1 alone opens 3 blocks
+    assert 5 not in _q_row((2, 2), 5)
+    assert _q_row((3, 1), 2) == {}  # round 1 alone opens 3 blocks
+
+
+def nonzero(row):
+    """The nonzero entries of a list indexed by block count."""
+    return {j: c for j, c in enumerate(row) if c}
 
 
 @pytest.mark.parametrize("k", [*range(1, 31), 500])
 def test_all_singles_row_is_stirling(k):
-    assert _q_row((1,) * k, k) == _stirling_row(k, k)
+    assert _q_row((1,) * k, k) == nonzero(_stirling_row(k, k))
 
 
 def test_truncated_all_singles_row_is_a_stirling_prefix():
-    assert _q_row((1,) * 300, DECK) == _stirling_row(300, DECK)
+    assert _q_row((1,) * 300, DECK) == nonzero(_stirling_row(300, DECK))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 40), a=st.lists(st.integers(1, 40), min_size=1, max_size=12))
+def test_expansion_keys_increase_and_counts_are_positive(n, a):
+    spec = ShuffleSpec(n, [min(ai, n) for ai in a])
+    row = expansion(spec)
+    assert list(row) == sorted(row)
+    assert all(c > 0 for c in row.values())
+
+
+def test_closed_form_answers_huge_sizes_at_once():
+    # A dense row over every block count up to 10**30 cannot be allocated.
+    huge = 10**30
+    assert expansion(ShuffleSpec(huge, (huge,))) == {huge: 1}
+    assert expansion(ShuffleSpec(huge, (1, huge))) == {huge: huge}
+    assert q_cardinality(ShuffleSpec(huge, (1, huge)), huge) == huge
 
 
 def surjections(k, j):

@@ -65,7 +65,7 @@ from topshuffle import (
 )
 from topshuffle.algebra import DEFAULT_TUPLE_CAP
 from topshuffle.coefficients import STIRLING_CELL_CAP
-from topshuffle.permutations import _expect
+from topshuffle.permutations import _expect, _integer, _ordered, _shown
 from topshuffle.probability import rational_from_json
 from topshuffle.wreath import g_expansion_element
 
@@ -525,6 +525,56 @@ def test_type_refusals_print_huge_integers(call, message):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Permutation((HUGE,)), "deck <unprintable tuple> is not a permutation of 1..1"),
+        (lambda: ShuffleSpec(3, (HUGE,)), f"shuffle size {HUGE_TEXT} outside 1..3"),
+        (
+            lambda: SegmentedPartition(([1],)).block_of(HUGE),
+            f"element {HUGE_TEXT} not in partition",
+        ),
+        (lambda: _integer([HUGE]), "<unprintable list> is not an integer"),
+    ],
+    ids=["Permutation", "ShuffleSpec", "block_of", "_integer"],
+)
+def test_huge_integers_in_any_refused_value_print(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+LONG = range(10**6)
+
+
+@pytest.mark.parametrize(
+    "call, start",
+    [
+        (lambda: _expect(Permutation, list(LONG)), "expected a Permutation, got [0, 1, 2, "),
+        (lambda: _ordered(set(LONG)), "expected an ordered sequence, got {0, 1, 2, "),
+        (lambda: Permutation(tuple(range(2, 10**6 + 2))), "deck (2, 3, 4, "),
+        (
+            lambda: SegmentedPartition([dict.fromkeys(LONG)]),
+            "expected a block of elements, got {0: None, 1: None, ",
+        ),
+    ],
+    ids=["_expect", "_ordered", "Permutation", "SegmentedPartition"],
+)
+def test_long_refused_values_are_cut(call, start):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value).startswith(start)
+    assert len(str(err.value)) < 500
+
+
+def test_shown_never_raises():
+    class Broken:
+        def __repr__(self):
+            raise RuntimeError("no repr")
+
+    assert _shown(Broken()) == "<unprintable Broken>"
 
 
 def test_range_refusals_print_huge_integers():
