@@ -235,10 +235,9 @@ def _shuffle_sums(n: int, counts: Mapping[int, int], decks, cap: int, order: int
     sum.  Refuses up front when they number more than ``cap`` in total."""
     _check_cap(sum(math.perm(n, j) * order**j for j in counts), cap, "terms")
     tally: dict = {}
-    get = tally.get
     for j, c in counts.items():
         for d in decks(j, n):
-            tally[d] = get(d, 0) + c
+            tally[d] = tally.get(d, 0) + c
     return tally
 
 
@@ -316,13 +315,10 @@ def _fold(symbols: tuple, factors: list) -> Mapping:
         get = nxt.get
         for row, c in zip(rows, outer or repeat(1)):
             row = list(row)
-            if inner is None:
-                if c == 1:
-                    nxt.update(row)
-                    continue
-                w = repeat(c)
-            else:
-                w = inner if c == 1 else map(mul, inner, repeat(c))
+            if inner is None and c == 1:
+                nxt.update(row)
+                continue
+            w = inner if c == 1 else map(mul, inner or repeat(1), repeat(c))
             # One row's composites are distinct: each is read before written.
             dict.update(nxt, zip(row, map(add, map(get, row, repeat(0)), w)))
         tally = nxt

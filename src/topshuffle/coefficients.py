@@ -148,19 +148,37 @@ def bell(k: int) -> int:
 
 def anchor_tuples(spec: ShuffleSpec, j: int) -> Iterator[tuple[int, ...]]:
     """All ways ``(l2, ..., lk)`` to distribute the ``j - a1`` fresh cards
-    over rounds ``2..k`` with ``0 <= lc <= ac``, lexicographically."""
+    over rounds ``2..k`` with ``0 <= lc <= ac``, lexicographically.
 
-    def rec(sizes: tuple[int, ...], need: int) -> Iterator[tuple[int, ...]]:
-        if not sizes:
-            if need == 0:
-                yield ()
-            return
-        for l in range(max(0, need - sum(sizes[1:])), min(sizes[0], need) + 1):
-            for tail in rec(sizes[1:], need - l):
-                yield (l, *tail)
-
+    The walk holds one tuple and the room ``room[m] = sum(sizes[m:])`` of
+    the rounds from ``m`` on, at any number of rounds, with no recursion.
+    In each tuple the rounds after ``i`` take the least they can of the
+    ``left`` cards; the next tuple moves one of those cards to the last
+    round ``i`` with room for one more.
+    """
     a = _expect(ShuffleSpec, spec).a
-    return rec(a[1:], _integer(j) - a[0])
+    sizes, need = a[1:], _integer(j) - a[0]
+    room = [*itertools.accumulate(reversed(sizes), initial=0)][::-1]
+
+    def walk() -> Iterator[tuple[int, ...]]:
+        if not 0 <= need <= room[0]:
+            return
+        ls, i, left = [0] * len(sizes), -1, need
+        while True:
+            for m in range(i + 1, len(ls)):
+                ls[m] = max(0, left - room[m + 1])
+                left -= ls[m]
+            yield tuple(ls)
+            for i in range(len(ls) - 1, -1, -1):
+                if left and ls[i] < sizes[i]:
+                    break
+                left += ls[i]
+            else:
+                return
+            ls[i] += 1
+            left -= 1
+
+    return walk()
 
 
 def q_cardinality(spec: ShuffleSpec, j: int) -> int:
@@ -300,7 +318,10 @@ def iter_segmented_partitions(
     anchor tuples lexicographically, then the anchor slots per round, then
     the seatings of the remaining slots in already-opened blocks.
 
-    No deck-size truncation is applied here; callers pass ``j <= n``.
+    The stream holds one partition at a time.  Besides it, it holds the
+    current anchor tuple and each round's own seatings, so its memory grows
+    with their sum over the rounds, never with their product.  No deck-size
+    truncation is applied here; callers pass ``j <= n``.
     """
     a = _expect(ShuffleSpec, spec).a
     bounds = spec.bounds()
@@ -308,18 +329,17 @@ def iter_segmented_partitions(
     for ls in anchor_tuples(spec, j):
         opened = itertools.accumulate(ls, initial=a[0])
         seats = [
-            itertools.permutations(range(1, o + 1), ac - lc)
-            for o, ac, lc in zip(opened, a[1:], ls)
+            tuple(itertools.permutations(range(1, o + 1), ac - lc))
+            for o, ac, lc in zip(opened, a[1:], ls) if ac > lc
         ]
-        seatings = [sum(seating, ()) for seating in itertools.product(*seats)]
         choices = [itertools.combinations(r, lc) for r, lc in zip(rounds, ls)]
         for anchors in itertools.product(*choices):
             labels = [*range(1, a[0] + 1), *[0] * (bounds[-1] - a[0])]
             for b, e in enumerate(itertools.chain(*anchors), start=a[0] + 1):
                 labels[e] = b
             rest = [e for e in range(a[0], bounds[-1]) if not labels[e]]
-            for seating in seatings:
-                for e, b in zip(rest, seating):
+            for seating in itertools.product(*seats):
+                for e, b in zip(rest, itertools.chain(*seating)):
                     labels[e] = b
                 yield SegmentedPartition._from_labels(tuple(labels))
 

@@ -126,6 +126,13 @@ def test_partitions_streams_json_lines(capsys):
         SegmentedPartition.from_json(data)  # parses back cleanly
 
 
+def test_partitions_streams_1200_rounds(capsys):
+    sizes = ",".join(["1"] * 1200)
+    code, out, err = run_cli(capsys, "partitions", "--n", "2", "--a", sizes, "--j", "1")
+    assert (code, err) == (0, "")
+    assert [json.loads(line) for line in out.splitlines()] == [[list(range(1, 1201))]]
+
+
 def test_phi_and_inverse_roundtrip_through_cli(capsys):
     code, out, _ = run_cli(
         capsys, "phi", "--n", "3", "--a", "1,1", "--decks", "[[2,1,3],[2,3,1]]"

@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -295,6 +299,49 @@ def test_anchor_decomposition_counts():
                         prod *= math.comb(ac, lc) * math.perm(opened, ac - lc)
                         opened += lc
                     assert by_signature.get(ls, 0) == prod
+
+
+def test_anchor_tuples_are_the_bounded_compositions_in_order():
+    for n, a in [(1, (1,)), (3, (2,)), (3, (1, 2, 3)), (4, (3, 1, 4, 2)), (2, (1,) * 6)]:
+        spec = ShuffleSpec(n, a)
+        for j in range(-1, sum(a) + 2):
+            boxes = itertools.product(*(range(ac + 1) for ac in a[1:]))
+            expected = [ls for ls in boxes if sum(ls) == j - a[0]]
+            assert list(anchor_tuples(spec, j)) == expected, (a, j)
+
+
+def test_anchor_walk_and_enumeration_reach_1200_rounds():
+    spec = ShuffleSpec(2, (1,) * 1200)
+    walk = list(anchor_tuples(spec, 2))
+    # One round of 2..1200 opens the second block; the last round first.
+    assert walk == [(0,) * (1198 - i) + (1,) + (0,) * i for i in range(1199)]
+    assert list(anchor_tuples(spec, 1)) == [(0,) * 1199]
+    assert [p.as_json() for p in enumerate_segmented_partitions(spec, 1)] == [
+        [list(range(1, 1201))]
+    ]
+    first = next(coefficients.iter_segmented_partitions(spec, 2))
+    assert first.labels == (1,) * 1199 + (2,)
+
+
+def test_partition_stream_holds_one_partition_at_a_time():
+    # Rounds 2..12 seat 5**11 ways for the first anchor tuple alone, so a
+    # stream that tabulated the seatings first could not start under the
+    # limit; the child limits its own address space and CPU time only.
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
+        "resource.setrlimit(resource.RLIMIT_CPU, (20, 20))\n"
+        "from topshuffle import ShuffleSpec, iter_segmented_partitions\n"
+        "spec = ShuffleSpec(52, (5,) + (1,) * 12)\n"
+        "print(next(iter_segmented_partitions(spec, 6)).labels)\n"
+    )
+    src = str(Path(coefficients.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    child = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert child.returncode == 0, child.stderr[-500:]
+    assert child.stdout == f"{(1, 2, 3, 4, 5) + (1,) * 11 + (6,)}\n"
 
 
 # phi / phi_inverse -----------------------------------------------------------

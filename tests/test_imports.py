@@ -1,7 +1,9 @@
 """Every name a module of the package imports is read in that module, so a
-deletion that leaves an import behind fails here; and no message formats a
+deletion that leaves an import behind fails here; no message formats a
 value with ``!r``, which neither bounds its length nor survives an int past
-``str``'s limit on digits (``permutations._shown`` does both)."""
+``str``'s limit on digits (``permutations._shown`` does both); and no
+function calls itself, since Python stops a recursion about 1 000 calls
+deep, and a spec or a count can be longer than that."""
 
 import ast
 from pathlib import Path
@@ -48,3 +50,29 @@ def test_no_f_string_formats_with_repr(path):
         if isinstance(node, ast.FormattedValue) and node.conversion == ord("r")
     ]
     assert not lines, f"{path.name} formats with !r on lines {lines}; use _shown"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_function_calls_itself(path):
+    # A method is skipped: a bare name in its body reads the module's
+    # binding, as ``GPermutation.identity`` calls the function ``identity``.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    methods = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+    }
+    recursive = [
+        f"{node.name} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and id(node) not in methods
+        and any(
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id == node.name
+            for call in ast.walk(node)
+        )
+    ]
+    assert not recursive, f"{path.name} has functions that call themselves: {recursive}"
