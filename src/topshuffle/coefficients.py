@@ -28,10 +28,11 @@ A ``SegmentedPartition`` is stored as one tuple of block labels:
 ``labels[e-1]`` is the block of slot ``e``, blocks numbered in order of
 their minima.  ``phi`` writes that tuple directly (block ``b`` is card
 ``b``), and every other reader slices it at ``ShuffleSpec.bounds()``.
-``phi_inverse`` unwinds one round per pass over the deck: the deck a round
-found is the cards its slots touched, in slot order, followed by the other
-cards in their current order, and the round's shuffle lists each current
-card's position in that deck.
+``phi_inverse`` unwinds the rounds from the last: the deck a round found is
+the cards its slots touched, in slot order, followed by the other cards in
+their current order, and the round's shuffle lists each current card's
+position in that deck.  While cards fit in a byte (``n <= 255``, as in the
+fold), a round is one delete-translate and one substitution on ``bytes``.
 """
 
 from __future__ import annotations
@@ -276,14 +277,19 @@ class SegmentedPartition:
         return cls([_json_list(part) for part in _json_list(data)])
 
 
-def _round_slices(
-    alpha: SegmentedPartition, spec: ShuffleSpec
-) -> list[tuple[int, ...]]:
-    """The labels of each round's slots, after checking the class and size."""
+def _check_covers(alpha: SegmentedPartition, spec: ShuffleSpec) -> None:
+    """Refuses ``alpha`` unless it is a partition of the spec's slots."""
     if _expect(SegmentedPartition, alpha).size != spec.total:
         raise ValueError(
             f"partition covers {alpha.size} slots, spec has {spec.total}"
         )
+
+
+def _round_slices(
+    alpha: SegmentedPartition, spec: ShuffleSpec
+) -> list[tuple[int, ...]]:
+    """The labels of each round's slots, after checking the class and size."""
+    _check_covers(alpha, spec)
     bounds = spec.bounds()
     return [alpha.labels[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
@@ -388,33 +394,50 @@ def phi_inverse(
     """The unique shuffle sequence with round-partition ``alpha`` whose
     left-to-right composite is ``t``.
 
-    Unwinds the rounds from the last, one pass each.  Round ``i`` took its
-    slots' cards (block ``b`` is card ``b``) off the top of the deck it
-    found, in slot order, and left the other cards in their order, so that
-    deck is those cards followed by the rest of the current deck; ``sigma_i``
-    lists each current card's position in it.  The checks on ``t`` and on
-    each round keep the unopened cards in order, so the deck ends sorted.
+    Unwinds the rounds from the last.  Round ``i`` took its slots' cards
+    (block ``b`` is card ``b``) off the top of the deck it found, in slot
+    order, and left the other cards in their order, so that deck is those
+    cards followed by the rest of the current deck; ``sigma_i`` lists each
+    current card's position in it.  While cards fit in a byte, that deck is
+    one ``bytes.translate`` deleting the round's cards, and ``sigma_i`` one
+    more substituting each card by its position; past that, each round is
+    one pass over the deck.  The checks on ``t`` and on each round keep the
+    unopened cards in order, so the deck ends sorted.
     """
     n = _expect(ShuffleSpec, spec).n
     if _expect(Permutation, t).n != n:
         raise ValueError(f"deck size {t.n} does not match spec size {n}")
-    tops = _round_slices(alpha, spec)
+    _check_covers(alpha, spec)
     if not is_term_of(t, alpha.j):
         raise ValueError(
             f"deck {_shown(t.deck)} cannot result from shuffling {alpha.j} cards"
         )
-    deck = list(t.deck)
+    # ``before`` is a permutation of 1..n (the round's labels are distinct
+    # cards of 1..alpha.j, and alpha.j <= n), so each round's deck is one too.
+    bounds = spec.bounds()
     sigmas: list[Permutation] = [None] * spec.k  # type: ignore[list-item]
+    if n <= 255:
+        labels, deck = bytes(alpha.labels), bytes(t.deck)
+        ident = bytes(range(1, n + 1))
+        for i in range(spec.k - 1, -1, -1):
+            top = labels[bounds[i] : bounds[i + 1]]
+            before = top + deck.translate(None, top)
+            if len(before) != n:  # a repeated label seats its card twice
+                raise ValueError("some round has two slots in the same block")
+            table = bytes.maketrans(before, ident)
+            sigmas[i] = Permutation._trusted(tuple(deck.translate(table)))
+            deck = before
+        return tuple(sigmas)
+    deck = list(t.deck)
     for i in range(spec.k - 1, -1, -1):
-        touched = set(tops[i])
-        if len(touched) != len(tops[i]):
+        top = alpha.labels[bounds[i] : bounds[i + 1]]
+        touched = set(top)
+        if len(touched) != len(top):
             raise ValueError("some round has two slots in the same block")
-        before = [*tops[i], *(c for c in deck if c not in touched)]
+        before = [*top, *(c for c in deck if c not in touched)]
         position = [0] * (n + 1)
         for p, c in enumerate(before, start=1):
             position[c] = p
-        # ``before`` is a permutation of 1..n (the round's labels are distinct
-        # cards of 1..alpha.j, and alpha.j <= n), so this deck is one too.
         sigmas[i] = Permutation._trusted(tuple([position[c] for c in deck]))
         deck = before
     return tuple(sigmas)

@@ -1,8 +1,10 @@
 """The shuffle-tuple / round-partition correspondence beyond the exhaustive
-acceptance sizes: a property against a reference unwind, and every refusal
-``phi`` and ``phi_inverse`` make."""
+acceptance sizes: a property against a reference unwind, seeded checks
+against it on each side of the byte boundary, and every refusal ``phi`` and
+``phi_inverse`` make."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,52 @@ def test_unwound_shuffles_pass_the_public_checks(case):
     for target in (product, t):
         for s in phi_inverse(alpha, target, spec):
             assert Permutation(s.deck) == s
+
+
+# ``phi_inverse`` unwinds bytes decks while cards fit in a byte and list decks
+# past that; each side of the boundary is checked against the reference.
+
+
+def seeded_cases(seed, n, count, k_max=4):
+    """``count`` seeded ``(spec, sigmas, t)`` at ``n`` cards, ``t`` any deck
+    the tuple's round-partition can reach."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randint(1, k_max)
+        a = tuple(rng.randint(1, rng.choice((4, n))) for _ in range(k))
+        sigmas = tuple(
+            Permutation(_deck_from_targets(rng.sample(range(1, n + 1), ai), n))
+            for ai in a
+        )
+        spec = ShuffleSpec(n, a)
+        j = phi(sigmas, spec).j
+        t = Permutation(_deck_from_targets(rng.sample(range(1, n + 1), j), n))
+        yield spec, sigmas, t
+
+
+@pytest.mark.parametrize("n", [255, 256])
+def test_inverse_on_each_side_of_the_byte_boundary(n):
+    for spec, sigmas, t in seeded_cases(n, n, 40):
+        alpha = phi(sigmas, spec)
+        product = Permutation(composite([s.deck for s in sigmas], n))
+        assert phi_inverse(alpha, product, spec) == sigmas
+        got = phi_inverse(alpha, t, spec)
+        assert tuple(s.deck for s in got) == reference_unwind(alpha, t, spec)
+    alpha = SegmentedPartition.from_json([[1], [2, 3]])
+    with pytest.raises(ValueError) as refused:
+        phi_inverse(alpha, Permutation(range(1, n + 1)), ShuffleSpec(n, (1, 2)))
+    assert str(refused.value) == "some round has two slots in the same block"
+
+
+@pytest.mark.parametrize("n", [254, 255, 256, 300])
+def test_inverse_matches_reference_unwind_on_wide_decks(n):
+    # The hypothesis property above draws n <= 8, which never leaves bytes.
+    for spec, sigmas, t in seeded_cases(1000 + n, n, 25):
+        alpha = phi(sigmas, spec)
+        got = phi_inverse(alpha, t, spec)
+        assert tuple(s.deck for s in got) == reference_unwind(alpha, t, spec)
+        assert composite([s.deck for s in got], n) == t.deck
+        assert phi(got, spec) == alpha
 
 
 # Every refusal -------------------------------------------------------------
