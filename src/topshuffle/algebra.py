@@ -23,6 +23,12 @@ fit in one, and a term is the table of symbols it substitutes for them
 do not come from the shuffle sums those add up (``_top_to_random_decks``),
 so the oracle stays an independent check of the closed form.
 
+The shuffle sums nest, each size's terms among the next size's: the decks
+of ``top_to_random(j - 1, n)`` are every ``(n-j+1)``-th deck of
+``top_to_random(j, n)``.  So ``_shuffle_sums`` builds the decks of the
+largest size only and slices them down, and a term's count is the tail
+of the coefficient row from the least size whose sum holds it.
+
 An element stores only its raw tally, deck tuple to count, and decodes it
 through the checked deck constructors each time its terms are read; the
 size and group, checked once when a term is stored, are not checked again.
@@ -42,7 +48,7 @@ from itertools import repeat
 from operator import add, attrgetter, itemgetter, mul
 from types import MappingProxyType
 
-from .coefficients import ShuffleSpec, _q_row
+from .coefficients import ShuffleSpec, _check_perm, _q_row
 from .errors import DEFAULT_TUPLE_CAP, _check_cap
 from .permutations import (
     Permutation,
@@ -229,15 +235,26 @@ def _insertion_decks(m: int, n: int) -> list[tuple[int, ...]]:
     return [deck[: m - 1] + deck[m:p] + (m,) + deck[p:] for p in range(m, n + 1)]
 
 
-def _shuffle_sums(n: int, counts: Mapping[int, int], decks, cap: int, order: int = 1):
+def _shuffle_sums(n: int, counts: Mapping[int, int], terms, cap: int, order: int = 1):
     """Raw tally of ``sum_j counts[j] * (size-j shuffle sum)``, where
-    ``decks(j, n)`` lists the ``P(n, j) * order**j`` raw terms of the size-j
-    sum.  Refuses up front when they number more than ``cap`` in total."""
+    ``terms(j, decks)`` lists the ``P(n, j) * order**j`` raw terms of the
+    size-j sum from its decks, ``_top_to_random_decks(j, n)``.  Refuses up
+    front when they number more than ``cap`` in total.
+
+    The sums nest: the size-``(j-1)`` decks are every ``(n-j+1)``-th
+    size-``j`` deck, the ones with card ``j`` on top of the untouched cards.
+    So only the largest decks are built; walking down, each size writes the
+    running tail of ``counts`` over all its terms, and each term keeps the
+    tail from the least size that holds it.
+    """
+    top = max(counts)
+    _check_perm(n, top)
     _check_cap(sum(math.perm(n, j) * order**j for j in counts), cap, "terms")
-    tally: dict = {}
-    for j, c in counts.items():
-        for d in decks(j, n):
-            tally[d] = tally.get(d, 0) + c
+    decks, tally, tail = _top_to_random_decks(top, n), {}, 0
+    for m in range(top, min(counts) - 1, -1):
+        tail += counts.get(m, 0)
+        tally.update(dict.fromkeys(terms(m, decks), tail))
+        decks = decks[:: n - m + 1]
     return tally
 
 
@@ -263,6 +280,7 @@ def total_outcomes(spec: ShuffleSpec) -> int:
     """Number of equally likely outcome tuples, which is also the number of
     term tuples ``brute_force_product`` counts: prod of P(n, a_i)."""
     n = _expect(ShuffleSpec, spec).n
+    _check_perm(n, spec.total)
     return math.prod(math.perm(n, ai) for ai in spec.a)
 
 
@@ -354,5 +372,5 @@ def expansion_element(
     against ``brute_force_product``.  Refuses up front when the shuffle
     sums it adds up have more than ``cap`` terms in total."""
     n = _expect(ShuffleSpec, spec).n
-    tally = _shuffle_sums(n, expansion(spec), _top_to_random_decks, cap)
+    tally = _shuffle_sums(n, expansion(spec), lambda m, decks: decks, cap)
     return AlgebraElement._of_tally((n,), tally)

@@ -9,8 +9,8 @@ class CapExceeded(RuntimeError):
     """Building or counting something would take more units than allowed.
 
     ``unit`` names what ``required`` and ``cap`` count: terms, compositions,
-    tuples, partitions, table cells or recurrence cells.  Raised up front,
-    before any work is done; results are never silently truncated.
+    tuples, partitions, table cells, recurrence cells or bits.  Raised up
+    front, before any work is done; results are never silently truncated.
     """
 
     def __init__(self, required: int, cap: int, unit: str):

@@ -43,7 +43,6 @@ from .algebra import (
     _insertion_decks,
     _shuffle_sums,
     _substitution,
-    _top_to_random_decks,
     expansion,
     total_outcomes,
 )
@@ -352,13 +351,15 @@ class GAlgebraElement(_Element):
         )
 
 
-def _hat_decks_raw(a: int, n: int, order: int) -> Iterator:
-    """Raw terms of ``hat_top_to_random``: each of ``_top_to_random_decks``
-    with every face at the positions of cards ``1..a`` and the identity face
-    elsewhere; decks that touch the same positions share one face list."""
+def _hat_decks_raw(a: int, decks: list, order: int) -> Iterator:
+    """Raw terms of ``hat_top_to_random(a, n)`` from its decks ``decks``,
+    ``_top_to_random_decks(a, n)``, which ``algebra._shuffle_sums`` slices
+    from the largest size's: each deck with every face at the positions of
+    cards ``1..a`` and the identity face elsewhere; decks that touch the
+    same positions share one face list."""
     # Shared: a spin product per deck ran oracle-faced 10 % slower (perfbench, 2 vCPUs).
     by_position: dict = {}
-    for deck in _top_to_random_decks(a, n):
+    for deck in decks:
         key = tuple([c <= a for c in deck])
         if key not in by_position:
             spins = [range(order) if touched else (0,) for touched in key]
@@ -420,9 +421,10 @@ def factorization_counts_by_enumeration(
 
 def g_total_outcomes(spec: ShuffleSpec, group: FiniteGroup) -> int:
     """Faced outcome tuples, also the term tuples ``g_brute_force_product``
-    counts: ``order**sum(a)`` times the plain count."""
+    counts: ``order**sum(a)`` times the plain count, whose bound on bits is
+    checked before the power is built."""
     order, total = _expect(FiniteGroup, group).order, _expect(ShuffleSpec, spec).total
-    return order**total * total_outcomes(spec)
+    return total_outcomes(spec) * order**total
 
 
 def g_brute_force_product(
@@ -455,8 +457,8 @@ def g_expansion_element(
     against ``g_brute_force_product``.  Refuses up front when the faced
     shuffle sums it adds up have more than ``cap`` terms in total."""
     n = _expect(ShuffleSpec, spec).n
-    decks = partial(_hat_decks_raw, order=_expect(FiniteGroup, group).order)
-    tally = _shuffle_sums(n, g_expansion(spec, group), decks, cap, group.order)
+    terms = partial(_hat_decks_raw, order=_expect(FiniteGroup, group).order)
+    tally = _shuffle_sums(n, g_expansion(spec, group), terms, cap, group.order)
     return GAlgebraElement._of_tally((n, group), tally)
 
 

@@ -96,6 +96,9 @@ def test_falling_factorial_values():
     assert falling_factorial(4, 2) == 12
     assert falling_factorial(7, 0) == 1
     assert falling_factorial(3, 5) == 0
+    assert falling_factorial(10**30, 10**31) == 0
+    # 1.7·10**6 bits by the bound, inside ``coefficients.PERM_BIT_CAP``.
+    assert falling_factorial(10**5, 10**5) == math.factorial(10**5)
 
 
 def test_falling_factorial_rejects_negative():

@@ -411,10 +411,14 @@ def test_elements_of_tallies_build_through_the_checked_constructor():
 @pytest.mark.parametrize("n", range(1, 8))
 def test_top_to_random_decks_follow_the_target_order(n):
     for a in range(n + 1):
-        assert algebra._top_to_random_decks(a, n) == [
+        decks = algebra._top_to_random_decks(a, n)
+        assert decks == [
             _deck_from_targets(t, n)
             for t in itertools.permutations(range(1, n + 1), a)
         ]
+        if a:
+            # The sums nest, as ``algebra._shuffle_sums`` reads them.
+            assert decks[:: n - a + 1] == algebra._top_to_random_decks(a - 1, n)
 
 
 def tuple_tally(factors, compose):

@@ -64,7 +64,7 @@ from topshuffle import (
     ways_to_reach,
 )
 from topshuffle.algebra import DEFAULT_TUPLE_CAP
-from topshuffle.coefficients import STIRLING_CELL_CAP
+from topshuffle.coefficients import PERM_BIT_CAP, STIRLING_CELL_CAP
 from topshuffle.permutations import _expect, _integer, _ordered, _shown
 from topshuffle.probability import rational_from_json
 from topshuffle.wreath import g_expansion_element
@@ -163,6 +163,9 @@ def test_bar_lift_expansion_reads_integers():
 # Every cap names what it counts ------------------------------------------------------
 
 
+BIG = 10**30  # past ``math.perm``'s index-sized arguments
+BIG_BITS = 100 * BIG  # ``BIG * BIG.bit_length()``
+
 CAPS = [
     (lambda: top_to_random(12, 12), "terms", 479001600, DEFAULT_TUPLE_CAP),
     (lambda: expansion_element(ShuffleSpec(4, (2, 1)), cap=35), "terms", 36, 35),
@@ -182,6 +185,16 @@ CAPS = [
     (lambda: bell(2001), "Stirling recurrence cells", 2001**2, STIRLING_CELL_CAP),
     (lambda: enumerate_segmented_partitions(ShuffleSpec(52, (1,) * 40), 20), "partitions",
      162188909527975750487887236507181, DEFAULT_TUPLE_CAP),
+    # A falling factorial ``P(m, l)`` is refused by its ``l * m.bit_length()`` bits.
+    (lambda: falling_factorial(BIG, BIG), "bits", BIG_BITS, PERM_BIT_CAP),
+    (lambda: falling_factorial(10**6, 10**6), "bits", 20 * 10**6, PERM_BIT_CAP),
+    (lambda: total_outcomes(ShuffleSpec(BIG, (BIG,))), "bits", BIG_BITS, PERM_BIT_CAP),
+    (lambda: g_total_outcomes(ShuffleSpec(BIG, (BIG,)), Z2), "bits", BIG_BITS,
+     PERM_BIT_CAP),
+    (lambda: expansion(ShuffleSpec(BIG, (BIG, BIG))), "bits", BIG_BITS, PERM_BIT_CAP),
+    (lambda: expansion_element(ShuffleSpec(BIG, (BIG,))), "bits", BIG_BITS, PERM_BIT_CAP),
+    (lambda: g_expansion_element(ShuffleSpec(BIG, (BIG,)), Z2), "bits", BIG_BITS,
+     PERM_BIT_CAP),
 ]
 
 
@@ -197,6 +210,19 @@ def test_cli_reports_the_unit(capsys):
     assert cli.run(["verify", "--n", "5", "--a", "3,3", "--cap", "100"]) == 2
     assert capsys.readouterr().err == (
         "topshuffle: 3600 tuples needed, above the cap of 100\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["expand", "--n", str(BIG), "--a", f"{BIG},{BIG}"],
+     ["verify", "--n", str(BIG), "--a", str(BIG)],
+     ["verify", "--n", str(BIG), "--a", str(BIG), "--group", "cyclic:2"]],
+)
+def test_cli_refuses_a_huge_falling_factorial(capsys, argv):
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"topshuffle: {BIG_BITS} bits needed, above the cap of {PERM_BIT_CAP}\n"
     )
 
 
