@@ -235,11 +235,13 @@ def _insertion_decks(m: int, n: int) -> list[tuple[int, ...]]:
     return [deck[: m - 1] + deck[m:p] + (m,) + deck[p:] for p in range(m, n + 1)]
 
 
-def _shuffle_sums(n: int, counts: Mapping[int, int], terms, cap: int, order: int = 1):
+def _shuffle_sums(spec: ShuffleSpec, row, terms, cap: int, order: int = 1):
     """Raw tally of ``sum_j counts[j] * (size-j shuffle sum)``, where
-    ``terms(j, decks)`` lists the ``P(n, j) * order**j`` raw terms of the
-    size-j sum from its decks, ``_top_to_random_decks(j, n)``.  Refuses up
-    front when they number more than ``cap`` in total.
+    ``counts = row(spec)`` is keyed by exactly ``spec.j_min..spec.j_max``
+    and ``terms(j, decks)`` lists the ``P(n, j) * order**j`` raw terms of
+    the size-j sum from its decks, ``_top_to_random_decks(j, n)``.  Refuses
+    up front, before the row is computed, when the terms number more than
+    ``cap`` in total; their count is a running product over ``j``.
 
     The sums nest: the size-``(j-1)`` decks are every ``(n-j+1)``-th
     size-``j`` deck, the ones with card ``j`` on top of the untouched cards.
@@ -247,11 +249,16 @@ def _shuffle_sums(n: int, counts: Mapping[int, int], terms, cap: int, order: int
     running tail of ``counts`` over all its terms, and each term keeps the
     tail from the least size that holds it.
     """
-    top = max(counts)
+    n, low, top = spec.n, spec.j_min, spec.j_max
     _check_perm(n, top)
-    _check_cap(sum(math.perm(n, j) * order**j for j in counts), cap, "terms")
+    required = term = math.perm(n, low) * order**low
+    for j in range(low, top):
+        term *= (n - j) * order
+        required += term
+    _check_cap(required, cap, "terms")
+    counts = row(spec)
     decks, tally, tail = _top_to_random_decks(top, n), {}, 0
-    for m in range(top, min(counts) - 1, -1):
+    for m in range(top, low - 1, -1):
         tail += counts.get(m, 0)
         tally.update(dict.fromkeys(terms(m, decks), tail))
         decks = decks[:: n - m + 1]
@@ -371,6 +378,5 @@ def expansion_element(
     """The expansion materialized as a single element, for comparison
     against ``brute_force_product``.  Refuses up front when the shuffle
     sums it adds up have more than ``cap`` terms in total."""
-    n = _expect(ShuffleSpec, spec).n
-    tally = _shuffle_sums(n, expansion(spec), lambda m, decks: decks, cap)
-    return AlgebraElement._of_tally((n,), tally)
+    tally = _shuffle_sums(_expect(ShuffleSpec, spec), expansion, lambda m, d: d, cap)
+    return AlgebraElement._of_tally((spec.n,), tally)

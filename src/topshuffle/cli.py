@@ -81,8 +81,8 @@ def _approx(value: Fraction, digits: int) -> str:
     return f"{mantissa}e{exp:+03d}"
 
 
-def _blocks_text(alpha: SegmentedPartition) -> str:
-    return " | ".join(",".join(map(str, block)) for block in alpha.as_json())
+def _blocks_text(blocks: list[list[int]]) -> str:
+    return " | ".join(",".join(map(str, block)) for block in blocks)
 
 
 @functools.cache
@@ -216,15 +216,16 @@ def _cmd_coeff(args):
 
 def _cmd_partitions(args):
     for alpha in coefficients.iter_segmented_partitions(_spec(args), args.j):
-        yield 0, alpha.as_json(), _blocks_text(alpha)
+        blocks = alpha.as_json()
+        yield 0, blocks, _blocks_text(blocks)
 
 
 def _cmd_phi(args):
     spec = _spec(args)
     decks = _json_list(json.loads(args.decks))
     sigmas = tuple(Permutation.from_json(d) for d in decks)
-    alpha = coefficients.phi(sigmas, spec)
-    yield 0, alpha.as_json(), _blocks_text(alpha)
+    blocks = coefficients.phi(sigmas, spec).as_json()
+    yield 0, blocks, _blocks_text(blocks)
 
 
 def _cmd_phi_inverse(args):

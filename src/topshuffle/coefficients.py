@@ -31,8 +31,8 @@ their minima.  ``phi`` writes that tuple directly (block ``b`` is card
 ``phi_inverse`` unwinds the rounds from the last: the deck a round found is
 the cards its slots touched, in slot order, followed by the other cards in
 their current order, and the round's shuffle lists each current card's
-position in that deck.  While cards fit in a byte (``n <= 255``, as in the
-fold), a round is one delete-translate and one substitution on ``bytes``.
+position in that deck.  One loop does it at every size, on ``bytes`` while
+cards fit in a byte (``n <= 255``, as in the fold) and on tuples past that.
 """
 
 from __future__ import annotations
@@ -46,10 +46,12 @@ from .errors import DEFAULT_TUPLE_CAP, _check_cap
 from .permutations import (
     Permutation,
     _at_least,
+    _compose_decks,
     _expect,
     _in_range,
     _integer,
     _integers,
+    _inverse_deck,
     _json_list,
     _shown,
     is_term_of,
@@ -118,12 +120,13 @@ PERM_BIT_CAP = 10**7
 
 def _check_perm(m: int, l: int) -> None:
     """Refuse up front, with ``CapExceeded`` in bits, to build a product of
-    ``l`` factors of at most ``m``, such as ``P(m, l)``, when its bound of
-    ``l * m.bit_length()`` bits exceeds ``PERM_BIT_CAP``."""
+    ``l`` factors of at most ``m``, such as ``P(m, l)`` or ``m**l``, when its
+    bound of ``l * m.bit_length()`` bits exceeds ``PERM_BIT_CAP``.  Factors
+    of at most 1 multiply to at most 1, so they pass at any ``l``."""
     bits = l * m.bit_length()
     # A bare comparison first: ``_q_row`` checks every round, and
     # ``_check_cap`` reads its cap through ``_integer`` on each call.
-    if bits > PERM_BIT_CAP:
+    if bits > PERM_BIT_CAP and m > 1:
         _check_cap(bits, PERM_BIT_CAP, "bits")
 
 
@@ -423,11 +426,12 @@ def phi_inverse(
     (block ``b`` is card ``b``) off the top of the deck it found, in slot
     order, and left the other cards in their order, so that deck is those
     cards followed by the rest of the current deck; ``sigma_i`` lists each
-    current card's position in it.  While cards fit in a byte, that deck is
-    one ``bytes.translate`` deleting the round's cards, and ``sigma_i`` one
-    more substituting each card by its position; past that, each round is
-    one pass over the deck.  The checks on ``t`` and on each round keep the
-    unopened cards in order, so the deck ends sorted.
+    current card's position in it.  One loop does every round, and the
+    byte boundary picks the encoding of its steps ``strip``, ``positions``
+    and ``seat``: ``bytes.translate`` and ``bytes.maketrans`` while cards
+    fit in a byte, one pass over a tuple past that.  A repeated label makes
+    the found deck longer than ``n`` in both.  The checks on ``t`` and on
+    each round keep the unopened cards in order, so the deck ends sorted.
     """
     n = _expect(ShuffleSpec, spec).n
     if _expect(Permutation, t).n != n:
@@ -437,32 +441,24 @@ def phi_inverse(
         raise ValueError(
             f"deck {_shown(t.deck)} cannot result from shuffling {alpha.j} cards"
         )
+    if n <= 255:
+        labels, deck, ident = bytes(alpha.labels), bytes(t.deck), bytes(range(1, n + 1))
+        strip = seat = bytes.translate
+        positions = bytes.maketrans
+    else:
+        labels, deck, ident = alpha.labels, t.deck, None
+        strip = lambda d, _, top: tuple(itertools.filterfalse(set(top).__contains__, d))
+        positions = lambda before, _: _inverse_deck(before)
+        seat = lambda d, table: _compose_decks(table, d)
     # ``before`` is a permutation of 1..n (the round's labels are distinct
     # cards of 1..alpha.j, and alpha.j <= n), so each round's deck is one too.
     bounds = spec.bounds()
     sigmas: list[Permutation] = [None] * spec.k  # type: ignore[list-item]
-    if n <= 255:
-        labels, deck = bytes(alpha.labels), bytes(t.deck)
-        ident = bytes(range(1, n + 1))
-        for i in range(spec.k - 1, -1, -1):
-            top = labels[bounds[i] : bounds[i + 1]]
-            before = top + deck.translate(None, top)
-            if len(before) != n:  # a repeated label seats its card twice
-                raise ValueError("some round has two slots in the same block")
-            table = bytes.maketrans(before, ident)
-            sigmas[i] = Permutation._trusted(tuple(deck.translate(table)))
-            deck = before
-        return tuple(sigmas)
-    deck = list(t.deck)
     for i in range(spec.k - 1, -1, -1):
-        top = alpha.labels[bounds[i] : bounds[i + 1]]
-        touched = set(top)
-        if len(touched) != len(top):
+        top = labels[bounds[i] : bounds[i + 1]]
+        before = top + strip(deck, None, top)
+        if len(before) != n:  # a repeated label seats its card twice
             raise ValueError("some round has two slots in the same block")
-        before = [*top, *(c for c in deck if c not in touched)]
-        position = [0] * (n + 1)
-        for p, c in enumerate(before, start=1):
-            position[c] = p
-        sigmas[i] = Permutation._trusted(tuple([position[c] for c in deck]))
+        sigmas[i] = Permutation._trusted(tuple(seat(deck, positions(before, ident))))
         deck = before
     return tuple(sigmas)

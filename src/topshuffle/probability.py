@@ -14,6 +14,7 @@ rendering is display-only.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .algebra import expansion, total_outcomes
 from .coefficients import ShuffleSpec
@@ -29,17 +30,18 @@ from .permutations import (
 from .wreath import FiniteGroup, GPermutation, _hat_floor, g_expansion, g_total_outcomes
 
 
-def _tail(floor: int, target, counts: dict[int, int], spec: ShuffleSpec) -> int:
-    """The sum of an expansion's ``counts`` from the target's ``floor`` on,
-    its arguments read in refusal order: target class, spec class, size."""
-    if target.n != spec.n:
+def _tail(floor: int, target, spec: ShuffleSpec, row) -> int:
+    """The sum of the expansion ``row(spec)`` from the target's ``floor`` on.
+    Its arguments are read in refusal order, target class, spec class, size,
+    and only then is the row computed."""
+    if target.n != _expect(ShuffleSpec, spec).n:
         raise ValueError(f"deck size {target.n} does not match spec size {spec.n}")
-    return sum(q for c, q in counts.items() if c >= floor)
+    return sum(q for c, q in row(spec).items() if c >= floor)
 
 
 def ways_to_reach(target: Permutation, spec: ShuffleSpec) -> int:
     """Number of outcome tuples of the shuffle sequence producing ``target``."""
-    return _tail(min_shuffle_size(target), target, expansion(spec), spec)
+    return _tail(min_shuffle_size(target), target, spec, expansion)
 
 
 def probability_of(target: Permutation, spec: ShuffleSpec) -> Fraction:
@@ -56,7 +58,7 @@ def g_ways_to_reach(
     showing a non-identity face on a never-touched card simply count 0.
     """
     floor = _hat_floor(_expect(GPermutation, target), group)
-    return _tail(floor, target, g_expansion(spec, group), spec)
+    return _tail(floor, target, spec, partial(g_expansion, group=group))
 
 
 def g_probability_of(

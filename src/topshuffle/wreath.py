@@ -46,7 +46,7 @@ from .algebra import (
     expansion,
     total_outcomes,
 )
-from .coefficients import ShuffleSpec
+from .coefficients import ShuffleSpec, _check_perm
 from .errors import _check_cap
 from .permutations import (
     Permutation,
@@ -401,9 +401,11 @@ def g_multiply(
 
 def factorization_count(l: int, g: int, group: FiniteGroup) -> int:
     """Number of ``l``-tuples of group elements whose product is ``g``:
-    ``order**(l-1)``, the same for every ``g``."""
+    ``order**(l-1)``, the same for every ``g``; refused with ``CapExceeded``
+    in bits (``_check_perm``) before a power too large is built."""
     l = _at_least(l, 1, "tuple length must be at least 1")
     _expect(FiniteGroup, group)._element(g)
+    _check_perm(group.order, l - 1)
     return group.order ** (l - 1)
 
 
@@ -412,8 +414,10 @@ def factorization_counts_by_enumeration(
 ) -> tuple[int, ...]:
     """Per-element tuple counts obtained by walking all ``order**l`` tuples;
     the independent check of ``factorization_count``, as the product of
-    ``l`` one-card faced shuffle sums (the group is the one-card decks)."""
+    ``l`` one-card faced shuffle sums (the group is the one-card decks).
+    Refused in bits before the tuple count ``order**l`` is built."""
     l = _at_least(l, 1, "tuple length must be at least 1")
+    _check_perm(_expect(FiniteGroup, group).order, l)
     product = g_brute_force_product(ShuffleSpec(1, (1,) * l), group, cap)
     one_card = (GPermutation(((g, 1),)) for g in range(group.order))
     return tuple(map(product.coefficient, one_card))
@@ -421,10 +425,12 @@ def factorization_counts_by_enumeration(
 
 def g_total_outcomes(spec: ShuffleSpec, group: FiniteGroup) -> int:
     """Faced outcome tuples, also the term tuples ``g_brute_force_product``
-    counts: ``order**sum(a)`` times the plain count, whose bound on bits is
-    checked before the power is built."""
+    counts: ``order**sum(a)`` times the plain count.  Each is refused in
+    bits before it is built, the plain count first."""
     order, total = _expect(FiniteGroup, group).order, _expect(ShuffleSpec, spec).total
-    return total_outcomes(spec) * order**total
+    outcomes = total_outcomes(spec)
+    _check_perm(order, total)
+    return outcomes * order**total
 
 
 def g_brute_force_product(
@@ -456,10 +462,11 @@ def g_expansion_element(
     """The faced expansion materialized as one element, for comparison
     against ``g_brute_force_product``.  Refuses up front when the faced
     shuffle sums it adds up have more than ``cap`` terms in total."""
-    n = _expect(ShuffleSpec, spec).n
+    _expect(ShuffleSpec, spec)
     terms = partial(_hat_decks_raw, order=_expect(FiniteGroup, group).order)
-    tally = _shuffle_sums(n, g_expansion(spec, group), terms, cap, group.order)
-    return GAlgebraElement._of_tally((n, group), tally)
+    row = partial(g_expansion, group=group)
+    tally = _shuffle_sums(spec, row, terms, cap, group.order)
+    return GAlgebraElement._of_tally((spec.n, group), tally)
 
 
 def is_hat_term(target: GPermutation, c: int, group: FiniteGroup) -> bool:
@@ -493,7 +500,9 @@ def bar_lift(x, group: FiniteGroup, cap: int = DEFAULT_TUPLE_CAP) -> GAlgebraEle
     Refuses up front when the ``len(x) * order**n`` terms exceed ``cap``."""
     if not isinstance(x, AlgebraElement):
         raise ValueError(f"{_shown(x)} is not an AlgebraElement")
-    _check_cap(len(x) * _expect(FiniteGroup, group).order ** x.n, cap, "terms")
+    order = _expect(FiniteGroup, group).order
+    # An empty element has no terms at any size, so its power is never built.
+    _check_cap(len(x) and len(x) * order**x.n, cap, "terms")
     spins = partial(itertools.product, range(group.order), repeat=x.n)
     terms = {(d, f): c for d, c in x._raw.items() for f in spins()}
     return GAlgebraElement._of_tally((x.n, group), terms)
@@ -505,10 +514,11 @@ def bar_lift_expansion(
     """Lift any nonnegative k-fold expansion to fully-faced decks: every
     coefficient picks up the factor ``(order**(k-1))**n``, since each of
     the ``n`` final faces factors into ``k`` touches in ``order**(k-1)``
-    ways."""
+    ways.  Refused in bits (``_check_perm``) before the factor is built."""
     k = _at_least(k, 1, "number of factors must be at least 1")
     n = _at_least(n, 1, "deck size must be at least 1")
     items = _expect(Mapping, base_coefficients).items()
     base = {r: _at_least(c, 0, "base coefficients must be nonnegative") for r, c in items}
-    factor = (_expect(FiniteGroup, group).order ** (k - 1)) ** n
+    _check_perm(_expect(FiniteGroup, group).order, (k - 1) * n)
+    factor = group.order ** ((k - 1) * n)
     return {r: c * factor for r, c in base.items()}

@@ -3,8 +3,12 @@ cap names the unit it counts."""
 
 import inspect
 import math
+import os
+import subprocess
+import sys
 from collections.abc import Iterator
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +199,14 @@ CAPS = [
     (lambda: expansion_element(ShuffleSpec(BIG, (BIG,))), "bits", BIG_BITS, PERM_BIT_CAP),
     (lambda: g_expansion_element(ShuffleSpec(BIG, (BIG,)), Z2), "bits", BIG_BITS,
      PERM_BIT_CAP),
+    # A group power ``order**e`` is refused by its ``e * order.bit_length()`` bits.
+    (lambda: factorization_count(BIG, 0, Z2), "bits", 2 * (BIG - 1), PERM_BIT_CAP),
+    (lambda: factorization_counts_by_enumeration(BIG, Z2), "bits", 2 * BIG,
+     PERM_BIT_CAP),
+    (lambda: bar_lift_expansion({1: 1}, BIG, 2, Z2), "bits", 4 * (BIG - 1),
+     PERM_BIT_CAP),
+    (lambda: g_total_outcomes(ShuffleSpec(1, (1,) * 10**6), FiniteGroup.cyclic(1024)),
+     "bits", 11 * 10**6, PERM_BIT_CAP),
 ]
 
 
@@ -204,6 +216,71 @@ def test_caps_name_their_unit(call, unit, required, cap):
         call()
     assert (err.value.unit, err.value.required, err.value.cap) == (unit, required, cap)
     assert str(err.value) == f"{required} {unit} needed, above the cap of {cap}"
+
+
+def test_powers_of_the_trivial_group_stay_instant():
+    z1 = FiniteGroup.cyclic(1)
+    assert factorization_count(BIG, 0, z1) == 1
+    assert bar_lift_expansion({1: 3}, BIG, BIG, z1) == {1: 3}
+
+
+SRC = str(Path(topshuffle.__file__).resolve().parents[1])
+MISMATCH = "ShuffleSpec(10**5, (5 * 10**4, 5 * 10**4))"
+WIDE = "ShuffleSpec(10**4, (5000, 5000))"
+
+
+def _bounded(body: str) -> subprocess.CompletedProcess:
+    """Runs ``body`` in a child that limits its own address space and CPU
+    time, so a call that would build its answer before refusing fails
+    here instead of running on."""
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
+        "resource.setrlimit(resource.RLIMIT_CPU, (5, 5))\n"
+        "from topshuffle import *\n"
+        "from topshuffle.wreath import g_expansion_element\n"
+        "Z2 = FiniteGroup.cyclic(2)\n" + body
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+@pytest.mark.parametrize(
+    "call, printed",
+    [
+        # The deck sizes are compared before the expansion row is computed.
+        (f"ways_to_reach(identity(2), {MISMATCH})",
+         "ValueError deck size 2 does not match spec size 100000"),
+        (f"g_ways_to_reach(GPermutation.identity(2), {MISMATCH}, Z2)",
+         "ValueError deck size 2 does not match spec size 100000"),
+        # The term cap is checked before the expansion row is computed.
+        (f"expansion_element({WIDE})", f"CapExceeded terms {DEFAULT_TUPLE_CAP}"),
+        (f"g_expansion_element({WIDE}, Z2)", f"CapExceeded terms {DEFAULT_TUPLE_CAP}"),
+        # An empty element has no terms at any deck size.
+        ("bar_lift(AlgebraElement(10**30, {}), Z2)",
+         f"GAlgebraElement(n={10**30}, order=2, terms=0, mass=0)"),
+    ],
+)
+def test_refusals_come_before_the_work_they_bound(call, printed):
+    child = _bounded(
+        "try:\n"
+        f"    print(repr({call}))\n"
+        "except CapExceeded as err:\n"
+        "    print('CapExceeded', err.unit, err.cap)\n"
+        "except ValueError as err:\n"
+        "    print('ValueError', err)\n"
+    )
+    assert child.returncode == 0, child.stderr[-500:]
+    assert child.stdout == printed + "\n"
+
+
+def test_cli_refuses_a_size_mismatch_before_the_expansion():
+    argv = ["prob", "--n", "100000", "--a", "50000,50000", "--target", "[2,1]"]
+    child = _bounded(f"from topshuffle import cli\nraise SystemExit(cli.run({argv!r}))\n")
+    assert (child.returncode, child.stdout) == (1, "")
+    assert child.stderr == "topshuffle: error: deck size 2 does not match spec size 100000\n"
 
 
 def test_cli_reports_the_unit(capsys):
