@@ -11,6 +11,7 @@ from .algebra import (
     top_to_random,
 )
 from .coefficients import (
+    CapExceeded,
     SegmentedPartition,
     ShuffleSpec,
     anchor_signature,
@@ -25,7 +26,6 @@ from .coefficients import (
     respects_rounds,
     stirling2,
 )
-from .errors import CapExceeded
 from .permutations import (
     Injection,
     Permutation,

@@ -48,8 +48,7 @@ from itertools import repeat
 from operator import add, attrgetter, itemgetter, mul
 from types import MappingProxyType
 
-from .coefficients import ShuffleSpec, _check_perm, _q_row
-from .errors import DEFAULT_TUPLE_CAP, _check_cap
+from .coefficients import DEFAULT_TUPLE_CAP, ShuffleSpec, _check_cap, _check_perm, _q_row
 from .permutations import (
     Permutation,
     _at_least,
@@ -285,10 +284,11 @@ def multiply(
 
 def total_outcomes(spec: ShuffleSpec) -> int:
     """Number of equally likely outcome tuples, which is also the number of
-    term tuples ``brute_force_product`` counts: prod of P(n, a_i)."""
+    term tuples ``brute_force_product`` counts: prod of P(n, a_i), with
+    each distinct size's factor raised to the number of rounds of that size."""
     n = _expect(ShuffleSpec, spec).n
     _check_perm(n, spec.total)
-    return math.prod(math.perm(n, ai) for ai in spec.a)
+    return math.prod(math.perm(n, s) ** m for s, m in Counter(spec.a).items())
 
 
 def _substitution(key) -> Callable:

@@ -18,8 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import algebra, coefficients, probability, wreath
-from .coefficients import SegmentedPartition, ShuffleSpec
-from .errors import CapExceeded
+from .coefficients import CapExceeded, SegmentedPartition, ShuffleSpec
 from .permutations import Permutation, _int_str, _json_list, _shown
 from .wreath import FiniteGroup, GPermutation
 
@@ -51,7 +50,7 @@ def _cap(args) -> int:
     if args.cap is not None:
         return args.cap
     raw = os.environ.get(ENV_CAP)
-    return int(raw) if raw else algebra.DEFAULT_TUPLE_CAP
+    return int(raw) if raw else coefficients.DEFAULT_TUPLE_CAP
 
 
 def _digits(text: str) -> int:

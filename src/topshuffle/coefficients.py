@@ -33,6 +33,9 @@ the cards its slots touched, in slot order, followed by the other cards in
 their current order, and the round's shuffle lists each current card's
 position in that deck.  One loop does it at every size, on ``bytes`` while
 cards fit in a byte (``n <= 255``, as in the fold) and on tuples past that.
+
+Every cap of the package is here too, with ``CapExceeded`` and the one
+check that raises it, ``_check_cap``.
 """
 
 from __future__ import annotations
@@ -42,13 +45,13 @@ import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
-from .errors import DEFAULT_TUPLE_CAP, _check_cap
 from .permutations import (
     Permutation,
     _at_least,
     _compose_decks,
     _expect,
     _in_range,
+    _int_str,
     _integer,
     _integers,
     _inverse_deck,
@@ -101,6 +104,31 @@ class ShuffleSpec:
         """Cumulative slot counts: round ``i`` owns elements
         ``bounds[i-1]+1 .. bounds[i]``."""
         return tuple(itertools.accumulate(self.a, initial=0))
+
+
+DEFAULT_TUPLE_CAP = 10**7
+
+
+class CapExceeded(RuntimeError):
+    """Building or counting something would take more units than allowed.
+
+    ``unit`` names what ``required`` and ``cap`` count: terms, compositions,
+    tuples, factors, partitions, table cells, Stirling recurrence cells or
+    bits.  Raised up front, before any work is done; results are never
+    silently truncated.
+    """
+
+    def __init__(self, required: int, cap: int, unit: str):
+        message = f"{_int_str(required)} {unit} needed, above the cap of {_int_str(cap)}"
+        super().__init__(message)
+        self.required, self.cap, self.unit = required, cap, unit
+
+
+def _check_cap(required: int, cap: int, unit: str) -> None:
+    """Refuse up front, never truncate, when ``required`` exceeds ``cap``."""
+    cap = _integer(cap)
+    if required > cap:
+        raise CapExceeded(required, cap, unit)
 
 
 def falling_factorial(m: int, l: int) -> int:

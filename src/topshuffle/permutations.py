@@ -305,13 +305,13 @@ def _json_list(data):
     return data
 
 
-def _json_object(data, *keys) -> list:
+def _json_object(data, *keys) -> tuple:
     """The values of ``keys`` in ``data`` if it is a JSON object holding
     them all; anything else raises."""
     if not isinstance(data, dict) or not data.keys() >= set(keys):
         names = ", ".join(keys)
         raise ValueError(f"expected a JSON object with {names}, got {_shown(data)}")
-    return [data[k] for k in keys]
+    return tuple([data[k] for k in keys])
 
 
 # Raw-tuple helpers: ``compose``, ``inverse``, ``from_injection`` and

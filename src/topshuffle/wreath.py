@@ -36,7 +36,6 @@ from operator import itemgetter
 from struct import iter_unpack
 
 from .algebra import (
-    DEFAULT_TUPLE_CAP,
     AlgebraElement,
     _Element,
     _fold,
@@ -46,8 +45,7 @@ from .algebra import (
     expansion,
     total_outcomes,
 )
-from .coefficients import ShuffleSpec, _check_perm
-from .errors import _check_cap
+from .coefficients import DEFAULT_TUPLE_CAP, ShuffleSpec, _check_cap, _check_perm
 from .permutations import (
     Permutation,
     _at_least,
@@ -163,7 +161,7 @@ class FiniteGroup:
     @classmethod
     def from_json(cls, data: dict) -> "FiniteGroup":
         (cayley,) = _json_object(data, "cayley")
-        group = cls([_json_list(row) for row in _json_list(cayley)])
+        group = cls([tuple(_json_list(row)) for row in _json_list(cayley)])
         if "order" in data and _integer(data["order"]) != group.order:
             raise ValueError("declared order does not match table size")
         return group
@@ -415,9 +413,13 @@ def factorization_counts_by_enumeration(
     """Per-element tuple counts obtained by walking all ``order**l`` tuples;
     the independent check of ``factorization_count``, as the product of
     ``l`` one-card faced shuffle sums (the group is the one-card decks).
-    Refused in bits before the tuple count ``order**l`` is built."""
+    Refused in bits before the tuple count ``order**l`` is built, then on
+    that count, then on the ``l`` factors, which outnumber the tuples only
+    in the trivial group."""
     l = _at_least(l, 1, "tuple length must be at least 1")
     _check_perm(_expect(FiniteGroup, group).order, l)
+    _check_cap(group.order**l, cap, "tuples")
+    _check_cap(l, cap, "factors")
     product = g_brute_force_product(ShuffleSpec(1, (1,) * l), group, cap)
     one_card = (GPermutation(((g, 1),)) for g in range(group.order))
     return tuple(map(product.coefficient, one_card))

@@ -3,7 +3,8 @@ deletion that leaves an import behind fails here; no message formats a
 value with ``!r``, which neither bounds its length nor survives an int past
 ``str``'s limit on digits (``permutations._shown`` does both); and no
 function calls itself, since Python stops a recursion about 1 000 calls
-deep, and a spec or a count can be longer than that."""
+deep, and a spec or a count can be longer than that.  Every cap, with
+``CapExceeded`` and the one check that raises it, is in ``coefficients``."""
 
 import ast
 from pathlib import Path
@@ -76,3 +77,43 @@ def test_no_function_calls_itself(path):
         )
     ]
     assert not recursive, f"{path.name} has functions that call themselves: {recursive}"
+
+
+def _is_int_constant(node: ast.expr) -> bool:
+    """``node`` is an expression of int literals, such as ``4 * 10**6``."""
+    return all(
+        isinstance(n, (ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop))
+        or (isinstance(n, ast.Constant) and type(n.value) is int)
+        for n in ast.walk(node)
+    )
+
+
+def test_every_cap_lives_in_coefficients():
+    # One module holds the cap policy: the int constants named ``*_CAP``,
+    # ``CapExceeded``, and ``_check_cap``, the one place that raises it.
+    caps, classes, raises = set(), [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # Walked outermost first, so a nested function overrides its parent.
+        owner = {
+            id(node): f"{path.stem}.{func.name}"
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and _is_int_constant(node.value):
+                caps |= {
+                    path.stem
+                    for t in node.targets
+                    if isinstance(t, ast.Name) and t.id.endswith("_CAP")
+                }
+            elif isinstance(node, ast.ClassDef) and node.name == "CapExceeded":
+                classes.append(path.stem)
+            elif isinstance(node, ast.Raise) and any(
+                isinstance(n, ast.Name) and n.id == "CapExceeded" for n in ast.walk(node)
+            ):
+                raises.append(owner.get(id(node), path.stem))
+    assert caps == {"coefficients"}, caps
+    assert classes == ["coefficients"], classes
+    assert raises == ["coefficients._check_cap"], raises

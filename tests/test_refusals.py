@@ -183,6 +183,11 @@ CAPS = [
     (lambda: g_brute_force_product(ShuffleSpec(2, (1, 1)), Z2, cap=15), "tuples", 16, 15),
     (lambda: factorization_counts_by_enumeration(9, S3, cap=10**6), "tuples", 6**9,
      10**6),
+    # In the trivial group one tuple stands for any number of factors.
+    (lambda: factorization_counts_by_enumeration(BIG, FiniteGroup.cyclic(1)), "factors",
+     BIG, DEFAULT_TUPLE_CAP),
+    (lambda: factorization_counts_by_enumeration(11, FiniteGroup.cyclic(1), cap=10),
+     "factors", 11, 10),
     (lambda: FiniteGroup.cyclic(4000), "table cells", 16 * 10**6, DEFAULT_TUPLE_CAP),
     (lambda: stirling2(3000, 2000), "Stirling recurrence cells", 6 * 10**6,
      STIRLING_CELL_CAP),
@@ -229,14 +234,14 @@ MISMATCH = "ShuffleSpec(10**5, (5 * 10**4, 5 * 10**4))"
 WIDE = "ShuffleSpec(10**4, (5000, 5000))"
 
 
-def _bounded(body: str) -> subprocess.CompletedProcess:
+def _bounded(body: str, cpu_s: int = 5) -> subprocess.CompletedProcess:
     """Runs ``body`` in a child that limits its own address space and CPU
-    time, so a call that would build its answer before refusing fails
-    here instead of running on."""
+    time, to ``cpu_s`` seconds, so a call that would build its answer
+    before refusing fails here instead of running on."""
     script = (
         "import resource\n"
         "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
-        "resource.setrlimit(resource.RLIMIT_CPU, (5, 5))\n"
+        f"resource.setrlimit(resource.RLIMIT_CPU, ({cpu_s}, {cpu_s}))\n"
         "from topshuffle import *\n"
         "from topshuffle.wreath import g_expansion_element\n"
         "Z2 = FiniteGroup.cyclic(2)\n" + body
@@ -271,6 +276,32 @@ def test_refusals_come_before_the_work_they_bound(call, printed):
         "    print('CapExceeded', err.unit, err.cap)\n"
         "except ValueError as err:\n"
         "    print('ValueError', err)\n"
+    )
+    assert child.returncode == 0, child.stderr[-500:]
+    assert child.stdout == printed + "\n"
+
+
+@pytest.mark.parametrize(
+    "call, printed",
+    [
+        # The trivial group's one tuple passes the tuple cap at any length,
+        # so its length is capped before a spec of that length is built.
+        (f"factorization_counts_by_enumeration({BIG}, FiniteGroup.cyclic(1))",
+         f"CapExceeded factors {DEFAULT_TUPLE_CAP}"),
+        ("factorization_counts_by_enumeration(10**9, FiniteGroup.cyclic(1))",
+         f"CapExceeded factors {DEFAULT_TUPLE_CAP}"),
+        ("factorization_counts_by_enumeration(10**4, FiniteGroup.cyclic(1))", "(1,)"),
+        # One power per distinct size, not a running product of 3 * 10**5 factors.
+        ("total_outcomes(ShuffleSpec(3, (1,) * 3 * 10**5)) == 3 ** (3 * 10**5)", "True"),
+    ],
+)
+def test_long_counts_answer_or_refuse_within_a_second(call, printed):
+    child = _bounded(
+        "try:\n"
+        f"    print({call})\n"
+        "except CapExceeded as err:\n"
+        "    print('CapExceeded', err.unit, err.cap)\n",
+        cpu_s=1,
     )
     assert child.returncode == 0, child.stderr[-500:]
     assert child.stdout == printed + "\n"
