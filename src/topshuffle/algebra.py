@@ -90,9 +90,10 @@ class _Element:
     (``_check``), and the package's builders write only decks of the
     element's size with faces in its group, so reads check neither again.
     Raw decks sort in their decks' canonical order.  A subclass supplies
-    its constructor, ``_DECK`` (the deck class), ``_encode``, ``_decode``
-    and ``__repr__``; an algebra with more than a deck size also overrides
-    ``_check``, ``_MISMATCH`` and the JSON header methods.
+    its constructor, ``_DECK`` (the deck class), ``_encode`` and
+    ``_decode``; an algebra with more than a deck size also overrides
+    ``_check``, ``_MISMATCH`` and the JSON header methods.  The space's
+    second entry, if any, is a group, whose order ``__repr__`` prints.
     """
 
     __slots__ = ("n", "_space", "_raw")
@@ -166,6 +167,11 @@ class _Element:
     def __len__(self) -> int:
         return len(self._raw)
 
+    def __repr__(self) -> str:
+        order = f"order={self._space[1].order}, " if len(self._space) > 1 else ""
+        mass = _int_str(self.mass)
+        return f"{type(self).__name__}(n={self.n}, {order}terms={len(self)}, mass={mass})"
+
     def as_json(self) -> dict:
         terms = [
             {"deck": p.as_json(), "coeff": _int_str(c)} for p, c in self.sorted_terms()
@@ -209,10 +215,6 @@ class AlgebraElement(_Element):
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         return multiply(self, other)
-
-    def __repr__(self) -> str:
-        mass = _int_str(self.mass)
-        return f"AlgebraElement(n={self.n}, terms={len(self)}, mass={mass})"
 
 
 def _top_to_random_decks(a: int, n: int) -> list[tuple[int, ...]]:

@@ -126,7 +126,7 @@ class CapExceeded(RuntimeError):
 
 def _check_cap(required: int, cap: int, unit: str) -> None:
     """Refuse up front, never truncate, when ``required`` exceeds ``cap``."""
-    cap = _integer(cap)
+    cap = _at_least(cap, 0, "cap must be nonnegative")
     if required > cap:
         raise CapExceeded(required, cap, unit)
 
@@ -153,7 +153,7 @@ def _check_perm(m: int, l: int) -> None:
     of at most 1 multiply to at most 1, so they pass at any ``l``."""
     bits = l * m.bit_length()
     # A bare comparison first: ``_q_row`` checks every round, and
-    # ``_check_cap`` reads its cap through ``_integer`` on each call.
+    # ``_check_cap`` reads its cap through ``_at_least`` on each call.
     if bits > PERM_BIT_CAP and m > 1:
         _check_cap(bits, PERM_BIT_CAP, "bits")
 
@@ -376,14 +376,16 @@ def anchor_signature(alpha: SegmentedPartition, spec: ShuffleSpec) -> tuple[int,
 def iter_segmented_partitions(
     spec: ShuffleSpec, j: int
 ) -> Iterator[SegmentedPartition]:
-    """Yield every reachable ``j``-block partition in a fixed order:
-    anchor tuples lexicographically, then the anchor slots per round, then
-    the seatings of the remaining slots in already-opened blocks.
+    """Yield every ``j``-block round-partition of the rounds ``a`` in a fixed
+    order: anchor tuples lexicographically, then the anchor slots per round,
+    then the seatings of the remaining slots in already-opened blocks.
 
     The stream holds one partition at a time.  Besides it, it holds the
     current anchor tuple and each round's own seatings, so its memory grows
-    with their sum over the rounds, never with their product.  No deck-size
-    truncation is applied here; callers pass ``j <= n``.
+    with their sum over the rounds, never with their product.  ``j`` is not
+    bounded by the deck size: for ``n < j <= sum(a)`` the partitions are
+    ones no ``n``-card deck reaches, which ``q_cardinality`` counts as 0
+    and ``phi_inverse`` refuses.
     """
     a = _expect(ShuffleSpec, spec).a
     bounds = spec.bounds()

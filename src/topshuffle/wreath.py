@@ -51,7 +51,6 @@ from .permutations import (
     _at_least,
     _expect,
     _in_range,
-    _int_str,
     _integer,
     _integers,
     _json_list,
@@ -63,6 +62,7 @@ from .permutations import (
 )
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class FiniteGroup:
     """A finite group given by its multiplication table.
 
@@ -75,7 +75,8 @@ class FiniteGroup:
     group, so each right inverse is two-sided.
     """
 
-    __slots__ = ("cayley", "inverse")
+    cayley: tuple[tuple[int, ...], ...]
+    inverse: tuple[int, ...]
 
     def __init__(self, cayley: Sequence[Sequence[int]]):
         table = tuple(map(_integers, _ordered(cayley)))
@@ -100,8 +101,8 @@ class FiniteGroup:
         if generators is None:
             # The identity and right inverses hold, so only associativity can fail.
             raise ValueError("multiplication table is not associative")
-        self.cayley = table
-        self.inverse = tuple(row.index(0) for row in table)
+        object.__setattr__(self, "cayley", table)
+        object.__setattr__(self, "inverse", tuple(row.index(0) for row in table))
 
     @property
     def order(self) -> int:
@@ -117,14 +118,6 @@ class FiniteGroup:
         """``a`` as an element index; anything outside ``0..order-1`` raises."""
         return _in_range(a, 0, self.order - 1, "element")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FiniteGroup):
-            return NotImplemented
-        return self.cayley == other.cayley
-
-    def __hash__(self) -> int:
-        return hash(self.cayley)
-
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
 
@@ -139,8 +132,9 @@ class FiniteGroup:
         # are rotations of one tuple and share its int objects.
         elements = tuple(range(m))
         group = object.__new__(cls)
-        group.cayley = tuple(elements[i:] + elements[:i] for i in range(m))
-        group.inverse = (0,) + elements[:0:-1]
+        rows = tuple(elements[i:] + elements[:i] for i in range(m))
+        object.__setattr__(group, "cayley", rows)
+        object.__setattr__(group, "inverse", (0,) + elements[:0:-1])
         return group
 
     @classmethod
@@ -341,12 +335,6 @@ class GAlgebraElement(_Element):
     def _space_from_json(data: dict) -> tuple[int, FiniteGroup]:
         n, group = _json_object(data, "n", "group")
         return _integer(n), FiniteGroup.from_json(group)
-
-    def __repr__(self) -> str:
-        return (
-            f"GAlgebraElement(n={self.n}, order={self.group.order}, "
-            f"terms={len(self)}, mass={_int_str(self.mass)})"
-        )
 
 
 def _hat_decks_raw(a: int, decks: list, order: int) -> Iterator:

@@ -293,6 +293,17 @@ def test_cap_from_environment(capsys, monkeypatch):
     assert run_cli(capsys, "brute", "--n", "5", "--a", "3,3")[0] == 0
 
 
+@pytest.mark.parametrize("command", ["brute", "verify"])
+def test_negative_cap_exits_1(capsys, monkeypatch, command):
+    argv = [command, "--n", "3", "--a", "1,1"]
+    expected = (1, "", "topshuffle: error: cap must be nonnegative\n")
+    assert run_cli(capsys, *argv, "--cap", "-5") == expected
+    monkeypatch.setenv(ENV_CAP, "-5")
+    assert run_cli(capsys, *argv) == expected
+    # A cap of 0 is valid, and no tuple fits under it.
+    assert run_cli(capsys, *argv, "--cap", "0")[0] == 2
+
+
 def test_mismatch_exit_code_3(capsys, monkeypatch):
     # Force a wrong expansion to check the mismatch channel end to end.
     from topshuffle import cli as cli_module
@@ -311,8 +322,12 @@ def test_mismatch_exit_code_3(capsys, monkeypatch):
     assert data["expansion"] != data["brute_force"]
 
 
-@pytest.mark.parametrize("group", [None, "cyclic:2"], ids=["plain", "faced"])
-def test_tally_mismatch_exit_code_3(capsys, monkeypatch, group):
+@pytest.mark.parametrize(
+    "group, text",
+    [(None, False), ("cyclic:2", False), (None, True), ("cyclic:2", True)],
+    ids=["plain", "faced", "plain-text", "faced-text"],
+)
+def test_tally_mismatch_exit_code_3(capsys, monkeypatch, group, text):
     # One raw entry of the expansion's tally gets 1 more, so the two sides
     # are still compared tally to tally when the mismatch is found.
     element_for = cli._element_for
@@ -336,6 +351,14 @@ def test_tally_mismatch_exit_code_3(capsys, monkeypatch, group):
         assert [set(c) for c in data["deck"]] == [{"face", "card"}] * 3
     else:
         assert sorted(data["deck"]) == [1, 2, 3]
+    if text:
+        # The text line names the same deck and counts as the JSON record.
+        code, out, _ = run_cli(capsys, *argv, "--format", "text")
+        assert code == 3
+        assert out == (
+            f"mismatch at {data['deck']}: "
+            f"expansion {data['expansion']}, brute {data['brute_force']}\n"
+        )
 
 
 def test_help_exits_0(capsys):

@@ -606,6 +606,19 @@ def test_deck_sizes_past_the_index_range_are_refused(call):
          "base coefficients must be nonnegative"),
         (lambda: rational_from_json({"num": "1", "den": "0"}),
          "denominator must be positive"),
+        # Every public callable taking a cap refuses a negative one as input.
+        (lambda: multiply(top_to_random(1, 2), top_to_random(1, 2), cap=-1),
+         "cap must be nonnegative"),
+        (lambda: g_multiply(*[hat_top_to_random(1, 2, Z2)] * 2, cap=-1),
+         "cap must be nonnegative"),
+        (lambda: brute_force_product(SPEC, cap=-1), "cap must be nonnegative"),
+        (lambda: g_brute_force_product(SPEC, Z2, cap=-1), "cap must be nonnegative"),
+        (lambda: expansion_element(SPEC, cap=-1), "cap must be nonnegative"),
+        (lambda: g_expansion_element(SPEC, Z2, cap=-1), "cap must be nonnegative"),
+        (lambda: factorization_counts_by_enumeration(2, Z2, cap=-1),
+         "cap must be nonnegative"),
+        (lambda: bar_element(identity(3), Z2, cap=-1), "cap must be nonnegative"),
+        (lambda: bar_lift(top_to_random(1, 3), Z2, cap=-1), "cap must be nonnegative"),
     ],
 )
 def test_lower_bounds_refuse_with_their_message(call, message):

@@ -1,5 +1,6 @@
 """Faced decks, group tables, and the scaled expansion."""
 
+import dataclasses
 import itertools
 import math
 import time
@@ -188,6 +189,20 @@ def test_group_json_roundtrip():
     data["order"] = 5
     with pytest.raises(ValueError):
         FiniteGroup.from_json(data)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_groups_are_frozen_values(m):
+    cyclic = FiniteGroup.cyclic(m)
+    built = FiniteGroup(cyclic.cayley)
+    loaded = FiniteGroup.from_json(built.as_json())
+    assert cyclic == built == loaded
+    assert hash(cyclic) == hash(built) == hash(loaded)
+    for group in (cyclic, built, loaded):
+        for field in ("cayley", "inverse"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(group, field, getattr(Z3, field))
+        assert group == cyclic
 
 
 # GPermutation / g_compose -------------------------------------------------------
