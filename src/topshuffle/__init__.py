@@ -25,6 +25,7 @@ from .coefficients import (
     q_cardinality,
     respects_rounds,
     stirling2,
+    total_outcomes,
 )
 from .permutations import (
     Injection,
@@ -43,7 +44,6 @@ from .probability import (
     g_total_outcomes,
     g_ways_to_reach,
     probability_of,
-    total_outcomes,
     ways_to_reach,
 )
 from .wreath import (

@@ -41,14 +41,16 @@ All coefficients are exact arbitrary-precision integers.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from collections.abc import Callable, Mapping, Sequence
 from itertools import repeat
 from operator import add, attrgetter, itemgetter, mul
 from types import MappingProxyType
 
-from .coefficients import DEFAULT_TUPLE_CAP, ShuffleSpec, _check_cap, _check_perm, _q_row
+from .coefficients import (
+    DEFAULT_TUPLE_CAP, ShuffleSpec, _check_cap, _power, _q_row, falling_factorial,
+    total_outcomes,
+)
 from .permutations import (
     Permutation,
     _at_least,
@@ -242,7 +244,8 @@ def _shuffle_sums(spec: ShuffleSpec, row, terms, cap: int, order: int = 1):
     and ``terms(j, decks)`` lists the ``P(n, j) * order**j`` raw terms of
     the size-j sum from its decks, ``_top_to_random_decks(j, n)``.  Refuses
     up front, before the row is computed, when the terms number more than
-    ``cap`` in total; their count is a running product over ``j``.
+    ``cap`` in total; their count runs down from the largest size's by
+    exact division, so only that one is checked in bits.
 
     The sums nest: the size-``(j-1)`` decks are every ``(n-j+1)``-th
     size-``j`` deck, the ones with card ``j`` on top of the untouched cards.
@@ -251,10 +254,9 @@ def _shuffle_sums(spec: ShuffleSpec, row, terms, cap: int, order: int = 1):
     tail from the least size that holds it.
     """
     n, low, top = spec.n, spec.j_min, spec.j_max
-    _check_perm(n, top)
-    required = term = math.perm(n, low) * order**low
-    for j in range(low, top):
-        term *= (n - j) * order
+    required = term = falling_factorial(n, top) * _power(order, top)
+    for j in range(top, low, -1):
+        term //= (n - j + 1) * order
         required += term
     _check_cap(required, cap, "terms")
     counts = row(spec)
@@ -282,15 +284,6 @@ def multiply(
     _check_cap(len(x) * len(y), cap, "compositions")
     factors = [(e._raw.keys(), e._raw.values()) for e in (x, y)]
     return AlgebraElement._of_tally(x._space, _fold(_deck_symbols(x.n), factors))
-
-
-def total_outcomes(spec: ShuffleSpec) -> int:
-    """Number of equally likely outcome tuples, which is also the number of
-    term tuples ``brute_force_product`` counts: prod of P(n, a_i), with
-    each distinct size's factor raised to the number of rounds of that size."""
-    n = _expect(ShuffleSpec, spec).n
-    _check_perm(n, spec.total)
-    return math.prod(math.perm(n, s) ** m for s, m in Counter(spec.a).items())
 
 
 def _substitution(key) -> Callable:

@@ -35,13 +35,16 @@ position in that deck.  One loop does it at every size, on ``bytes`` while
 cards fit in a byte (``n <= 255``, as in the fold) and on tuples past that.
 
 Every cap of the package is here too, with ``CapExceeded`` and the one
-check that raises it, ``_check_cap``.
+check that raises it, ``_check_cap``, and so is every number the bit cap
+bounds: the other modules build them through ``falling_factorial``,
+``_power`` and ``total_outcomes``, which check before they build.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -156,6 +159,21 @@ def _check_perm(m: int, l: int) -> None:
     # ``_check_cap`` reads its cap through ``_at_least`` on each call.
     if bits > PERM_BIT_CAP and m > 1:
         _check_cap(bits, PERM_BIT_CAP, "bits")
+
+
+def _power(m: int, e: int) -> int:
+    """``m**e``, refused first by ``_check_perm`` like ``P(m, e)``."""
+    _check_perm(m, e)
+    return m**e
+
+
+def total_outcomes(spec: ShuffleSpec) -> int:
+    """Number of equally likely outcome tuples, which is also the number of
+    term tuples ``brute_force_product`` counts: prod of P(n, a_i), with
+    each distinct size's factor raised to the number of rounds of that size."""
+    n = _expect(ShuffleSpec, spec).n
+    _check_perm(n, spec.total)
+    return math.prod(math.perm(n, s) ** m for s, m in Counter(spec.a).items())
 
 
 # Most cells the Stirling recurrence may fill: ``bell(2000)`` fills 2000**2

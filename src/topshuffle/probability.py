@@ -16,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from .algebra import expansion, total_outcomes
-from .coefficients import ShuffleSpec
+from .algebra import expansion
+from .coefficients import ShuffleSpec, total_outcomes
 from .permutations import (
     Permutation,
     _at_least,

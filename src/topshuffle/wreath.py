@@ -43,9 +43,8 @@ from .algebra import (
     _shuffle_sums,
     _substitution,
     expansion,
-    total_outcomes,
 )
-from .coefficients import DEFAULT_TUPLE_CAP, ShuffleSpec, _check_cap, _check_perm
+from .coefficients import DEFAULT_TUPLE_CAP, ShuffleSpec, _check_cap, _power, total_outcomes
 from .permutations import (
     Permutation,
     _at_least,
@@ -388,11 +387,10 @@ def g_multiply(
 def factorization_count(l: int, g: int, group: FiniteGroup) -> int:
     """Number of ``l``-tuples of group elements whose product is ``g``:
     ``order**(l-1)``, the same for every ``g``; refused with ``CapExceeded``
-    in bits (``_check_perm``) before a power too large is built."""
+    in bits (``_power``) before a power too large is built."""
     l = _at_least(l, 1, "tuple length must be at least 1")
     _expect(FiniteGroup, group)._element(g)
-    _check_perm(group.order, l - 1)
-    return group.order ** (l - 1)
+    return _power(group.order, l - 1)
 
 
 def factorization_counts_by_enumeration(
@@ -405,8 +403,7 @@ def factorization_counts_by_enumeration(
     that count, then on the ``l`` factors, which outnumber the tuples only
     in the trivial group."""
     l = _at_least(l, 1, "tuple length must be at least 1")
-    _check_perm(_expect(FiniteGroup, group).order, l)
-    _check_cap(group.order**l, cap, "tuples")
+    _check_cap(_power(_expect(FiniteGroup, group).order, l), cap, "tuples")
     _check_cap(l, cap, "factors")
     product = g_brute_force_product(ShuffleSpec(1, (1,) * l), group, cap)
     one_card = (GPermutation(((g, 1),)) for g in range(group.order))
@@ -417,10 +414,8 @@ def g_total_outcomes(spec: ShuffleSpec, group: FiniteGroup) -> int:
     """Faced outcome tuples, also the term tuples ``g_brute_force_product``
     counts: ``order**sum(a)`` times the plain count.  Each is refused in
     bits before it is built, the plain count first."""
-    order, total = _expect(FiniteGroup, group).order, _expect(ShuffleSpec, spec).total
-    outcomes = total_outcomes(spec)
-    _check_perm(order, total)
-    return outcomes * order**total
+    order = _expect(FiniteGroup, group).order
+    return total_outcomes(spec) * _power(order, spec.total)
 
 
 def g_brute_force_product(
@@ -441,9 +436,12 @@ def g_brute_force_product(
 def g_expansion(spec: ShuffleSpec, group: FiniteGroup) -> dict[int, int]:
     """Coefficients ``{c: count}`` with the product of the spec's faced
     shuffle sums equal to ``sum_c count * hat_top_to_random(c, n)``: the
-    plain count at ``c`` times ``order**(sum(a) - c)``."""
+    plain count at ``c`` times ``order**(sum(a) - c)``.  The largest power,
+    at ``c = max(a)``, is refused in bits before the row is computed."""
     order = _expect(FiniteGroup, group).order
-    return {c: q * order ** (spec.total - c) for c, q in expansion(spec).items()}
+    power = _power(order, _expect(ShuffleSpec, spec).total - spec.j_min) * order
+    # The row's keys run up from ``max(a)`` by one, each power the last over ``order``.
+    return {c: q * (power := power // order) for c, q in expansion(spec).items()}
 
 
 def g_expansion_element(
@@ -487,12 +485,13 @@ def bar_element(
 
 def bar_lift(x, group: FiniteGroup, cap: int = DEFAULT_TUPLE_CAP) -> GAlgebraElement:
     """Face-spin every term of a plain element, keeping its coefficients.
-    Refuses up front when the ``len(x) * order**n`` terms exceed ``cap``."""
+    Refuses up front when ``order**n`` is too large to build (in bits), or
+    when the ``len(x) * order**n`` terms exceed ``cap``."""
     if not isinstance(x, AlgebraElement):
         raise ValueError(f"{_shown(x)} is not an AlgebraElement")
     order = _expect(FiniteGroup, group).order
     # An empty element has no terms at any size, so its power is never built.
-    _check_cap(len(x) and len(x) * order**x.n, cap, "terms")
+    _check_cap(len(x) and len(x) * _power(order, x.n), cap, "terms")
     spins = partial(itertools.product, range(group.order), repeat=x.n)
     terms = {(d, f): c for d, c in x._raw.items() for f in spins()}
     return GAlgebraElement._of_tally((x.n, group), terms)
@@ -504,11 +503,10 @@ def bar_lift_expansion(
     """Lift any nonnegative k-fold expansion to fully-faced decks: every
     coefficient picks up the factor ``(order**(k-1))**n``, since each of
     the ``n`` final faces factors into ``k`` touches in ``order**(k-1)``
-    ways.  Refused in bits (``_check_perm``) before the factor is built."""
+    ways.  Refused in bits (``_power``) before the factor is built."""
     k = _at_least(k, 1, "number of factors must be at least 1")
     n = _at_least(n, 1, "deck size must be at least 1")
     items = _expect(Mapping, base_coefficients).items()
     base = {r: _at_least(c, 0, "base coefficients must be nonnegative") for r, c in items}
-    _check_perm(_expect(FiniteGroup, group).order, (k - 1) * n)
-    factor = group.order ** ((k - 1) * n)
+    factor = _power(_expect(FiniteGroup, group).order, (k - 1) * n)
     return {r: c * factor for r, c in base.items()}

@@ -2,13 +2,10 @@
 
 import itertools
 import math
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
+from bounded_child import bounded
 
 from topshuffle import (
     CapExceeded,
@@ -330,18 +327,10 @@ def test_partition_stream_holds_one_partition_at_a_time():
     # Rounds 2..12 seat 5**11 ways for the first anchor tuple alone, so a
     # stream that tabulated the seatings first could not start under the
     # limit; the child limits its own address space and CPU time only.
-    script = (
-        "import resource\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
-        "resource.setrlimit(resource.RLIMIT_CPU, (20, 20))\n"
-        "from topshuffle import ShuffleSpec, iter_segmented_partitions\n"
+    child = bounded(
         "spec = ShuffleSpec(52, (5,) + (1,) * 12)\n"
-        "print(next(iter_segmented_partitions(spec, 6)).labels)\n"
-    )
-    src = str(Path(coefficients.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    child = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        "print(next(iter_segmented_partitions(spec, 6)).labels)\n",
+        cpu_s=20,
     )
     assert child.returncode == 0, child.stderr[-500:]
     assert child.stdout == f"{(1, 2, 3, 4, 5) + (1,) * 11 + (6,)}\n"

@@ -4,7 +4,8 @@ value with ``!r``, which neither bounds its length nor survives an int past
 ``str``'s limit on digits (``permutations._shown`` does both); and no
 function calls itself, since Python stops a recursion about 1 000 calls
 deep, and a spec or a count can be longer than that.  Every cap, with
-``CapExceeded`` and the one check that raises it, is in ``coefficients``."""
+``CapExceeded`` and the one check that raises it, is in ``coefficients``,
+and so is every number the bit cap bounds."""
 
 import ast
 from pathlib import Path
@@ -117,3 +118,34 @@ def test_every_cap_lives_in_coefficients():
     assert caps == {"coefficients"}, caps
     assert classes == ["coefficients"], classes
     assert raises == ["coefficients._check_cap"], raises
+
+
+def _builds_a_bounded_number(node: ast.AST) -> bool:
+    """``node`` reads ``_check_perm``, ``pow``, ``math.perm``, ``math.comb``
+    or ``math.factorial``, or raises a value that is not a literal to a
+    power; ``2 ** (len(generators) + 1)`` and ``10**7`` stay legal."""
+    if isinstance(node, ast.Name):
+        return node.id in {"_check_perm", "pow"}
+    if isinstance(node, ast.Attribute):
+        return node.attr == "_check_perm" or (
+            node.attr in {"perm", "comb", "factorial"}
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+        )
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return not isinstance(node.left, ast.Constant)
+    return isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Pow)
+
+
+def test_only_coefficients_builds_bounded_numbers():
+    # The bit cap refuses a product before it is built, so every such
+    # product is built in ``coefficients``, behind the check: elsewhere
+    # through ``falling_factorial``, ``_power`` or ``total_outcomes``.
+    sites = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        if path.stem != "coefficients"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _builds_a_bounded_number(node)
+    ]
+    assert not sites, f"bounded numbers built outside coefficients at {sites}"

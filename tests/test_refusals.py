@@ -3,14 +3,11 @@ cap names the unit it counts."""
 
 import inspect
 import math
-import os
-import subprocess
-import sys
 from collections.abc import Iterator
 from decimal import Decimal
-from pathlib import Path
 
 import pytest
+from bounded_child import bounded
 
 import topshuffle
 from topshuffle import (
@@ -212,6 +209,9 @@ CAPS = [
      PERM_BIT_CAP),
     (lambda: g_total_outcomes(ShuffleSpec(1, (1,) * 10**6), FiniteGroup.cyclic(1024)),
      "bits", 11 * 10**6, PERM_BIT_CAP),
+    # The faced row's largest power, at ``c = max(a)``, is checked before the row.
+    (lambda: g_expansion(ShuffleSpec(1, (1,) * 10**6), FiniteGroup.cyclic(1024)),
+     "bits", 11 * (10**6 - 1), PERM_BIT_CAP),
 ]
 
 
@@ -229,27 +229,8 @@ def test_powers_of_the_trivial_group_stay_instant():
     assert bar_lift_expansion({1: 3}, BIG, BIG, z1) == {1: 3}
 
 
-SRC = str(Path(topshuffle.__file__).resolve().parents[1])
 MISMATCH = "ShuffleSpec(10**5, (5 * 10**4, 5 * 10**4))"
 WIDE = "ShuffleSpec(10**4, (5000, 5000))"
-
-
-def _bounded(body: str, cpu_s: int = 5) -> subprocess.CompletedProcess:
-    """Runs ``body`` in a child that limits its own address space and CPU
-    time, to ``cpu_s`` seconds, so a call that would build its answer
-    before refusing fails here instead of running on."""
-    script = (
-        "import resource\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
-        f"resource.setrlimit(resource.RLIMIT_CPU, ({cpu_s}, {cpu_s}))\n"
-        "from topshuffle import *\n"
-        "from topshuffle.wreath import g_expansion_element\n"
-        "Z2 = FiniteGroup.cyclic(2)\n" + body
-    )
-    env = {**os.environ, "PYTHONPATH": SRC}
-    return subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
-    )
 
 
 @pytest.mark.parametrize(
@@ -263,13 +244,19 @@ def _bounded(body: str, cpu_s: int = 5) -> subprocess.CompletedProcess:
         # The term cap is checked before the expansion row is computed.
         (f"expansion_element({WIDE})", f"CapExceeded terms {DEFAULT_TUPLE_CAP}"),
         (f"g_expansion_element({WIDE}, Z2)", f"CapExceeded terms {DEFAULT_TUPLE_CAP}"),
+        # The faced row's largest power is checked before the row is computed.
+        ("g_expansion(ShuffleSpec(1, (1,) * 10**6), FiniteGroup.cyclic(1024))",
+         f"CapExceeded bits {PERM_BIT_CAP}"),
+        # The power of a face spin is checked in bits before it is built.
+        ("bar_element(identity(10**6), FiniteGroup.cyclic(1024))",
+         f"CapExceeded bits {PERM_BIT_CAP}"),
         # An empty element has no terms at any deck size.
         ("bar_lift(AlgebraElement(10**30, {}), Z2)",
          f"GAlgebraElement(n={10**30}, order=2, terms=0, mass=0)"),
     ],
 )
 def test_refusals_come_before_the_work_they_bound(call, printed):
-    child = _bounded(
+    child = bounded(
         "try:\n"
         f"    print(repr({call}))\n"
         "except CapExceeded as err:\n"
@@ -296,7 +283,7 @@ def test_refusals_come_before_the_work_they_bound(call, printed):
     ],
 )
 def test_long_counts_answer_or_refuse_within_a_second(call, printed):
-    child = _bounded(
+    child = bounded(
         "try:\n"
         f"    print({call})\n"
         "except CapExceeded as err:\n"
@@ -309,9 +296,23 @@ def test_long_counts_answer_or_refuse_within_a_second(call, printed):
 
 def test_cli_refuses_a_size_mismatch_before_the_expansion():
     argv = ["prob", "--n", "100000", "--a", "50000,50000", "--target", "[2,1]"]
-    child = _bounded(f"from topshuffle import cli\nraise SystemExit(cli.run({argv!r}))\n")
+    child = bounded(f"from topshuffle import cli\nraise SystemExit(cli.run({argv!r}))\n")
     assert (child.returncode, child.stdout) == (1, "")
     assert child.stderr == "topshuffle: error: deck size 2 does not match spec size 100000\n"
+
+
+def test_cli_refuses_a_huge_faced_power_before_the_row():
+    # The argv is too long for a command line, so the child builds it.
+    child = bounded(
+        "from topshuffle import cli\n"
+        "a = ','.join(['1'] * 10**6)\n"
+        "argv = ['expand', '--n', '1', '--a', a, '--group', 'cyclic:3162']\n"
+        "raise SystemExit(cli.run(argv))\n"
+    )
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr == (
+        f"topshuffle: {12 * (10**6 - 1)} bits needed, above the cap of {PERM_BIT_CAP}\n"
+    )
 
 
 def test_cli_reports_the_unit(capsys):
