@@ -291,7 +291,9 @@ def run(argv: Sequence[str]) -> int:
     except CapExceeded as exc:
         print(f"topshuffle: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    # No function of the package calls itself, so a ``RecursionError`` comes
+    # from decoding input, such as JSON nested too deep.
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"topshuffle: error: {exc}", file=sys.stderr)
         return 1
 

@@ -154,11 +154,8 @@ def _check_perm(m: int, l: int) -> None:
     ``l`` factors of at most ``m``, such as ``P(m, l)`` or ``m**l``, when its
     bound of ``l * m.bit_length()`` bits exceeds ``PERM_BIT_CAP``.  Factors
     of at most 1 multiply to at most 1, so they pass at any ``l``."""
-    bits = l * m.bit_length()
-    # A bare comparison first: ``_q_row`` checks every round, and
-    # ``_check_cap`` reads its cap through ``_at_least`` on each call.
-    if bits > PERM_BIT_CAP and m > 1:
-        _check_cap(bits, PERM_BIT_CAP, "bits")
+    if m > 1:
+        _check_cap(l * m.bit_length(), PERM_BIT_CAP, "bits")
 
 
 def _power(m: int, e: int) -> int:
@@ -267,14 +264,16 @@ def _q_row(a: tuple[int, ...], top: int) -> dict[int, int]:
     ``row[o]`` weighs the partial partitions of the rounds so far that
     opened ``o`` blocks, none before the first round.  Blocks never close,
     so states above ``top`` are dropped.  A cell's ``comb`` and ``perm``
-    each have at most ``min(ac, opened)`` factors of at most ``max(ac,
-    opened)``, so one check a round, at the ``most`` blocks the rounds
-    before can have opened, bounds them.
+    each have at most ``min(ac, o)`` factors of at most ``max(ac, o)``,
+    where ``o`` is the most blocks the rounds before can open, capped at
+    ``top``.  A count multiplies one cell of each round, so the sum of those
+    bounds over the rounds is checked once, before the first round.
     """
-    row, most = {0: 1}, 0
+    rounds = zip(a, map(min, itertools.accumulate(a, initial=0), itertools.repeat(top)))
+    bits = sum(min(ac, o) * max(ac, o).bit_length() for ac, o in rounds if max(ac, o) > 1)
+    _check_cap(bits, PERM_BIT_CAP, "bits")
+    row = {0: 1}
     for ac in a:
-        _check_perm(max(ac, most), min(ac, most))
-        most = min(most + ac, top)
         nxt: dict[int, int] = {}
         for opened, weight in row.items():
             for l in range(max(0, ac - opened), min(ac, top - opened) + 1):

@@ -18,7 +18,9 @@ import re
 import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence, Set
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import (
+    MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
+)
 from functools import cached_property
 
 
@@ -277,12 +279,29 @@ def _json_integer(x) -> int:
 def _int_str(x) -> str:
     """``str(x)``, for an int of any size too.  ``str`` refuses an int of more
     than ``sys.get_int_max_str_digits()`` digits, so such an int is rendered
-    through ``decimal`` instead, and the interpreter's limit is left alone."""
+    through ``decimal`` instead, and the interpreter's limit is left alone.
+    ``Decimal(x)`` alone takes time quadratic in the bits, so ``|x|`` is cut
+    into ``2**12``-bit chunks, and neighbouring chunks are joined exactly,
+    ``lo + hi * 2**width``, pass by pass, the width doubling each time."""
     limit = sys.get_int_max_str_digits()
     # Below 2**(3 * limit), which is below 10**limit, ``str`` always succeeds.
     if not isinstance(x, int) or not limit or x.bit_length() <= 3 * limit:
         return str(x)
-    return str(Decimal(x))
+    size = 2**9  # bytes in a chunk
+    data = abs(x).to_bytes(-(-x.bit_length() // 8), "little")
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+    with localcontext(exact):
+        parts = [
+            Decimal(int.from_bytes(data[i : i + size], "little"))
+            for i in range(0, len(data), size)
+        ]
+        shift = Decimal(1 << 8 * size)
+        while len(parts) > 1:
+            if len(parts) % 2:
+                parts.append(Decimal(0))
+            parts = [lo + hi * shift for lo, hi in zip(parts[::2], parts[1::2])]
+            shift *= shift
+    return "-" * (x < 0) + str(parts[0])
 
 
 def _shown(x) -> str:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -222,6 +223,24 @@ def test_int_str_is_exact_on_both_sides_of_the_digit_limit():
     widest_str = 2 ** (3 * limit) - 1  # the largest int rendered by ``str``
     assert _int_str(widest_str) == str(widest_str)
     assert parse_int(_int_str(widest_str + 1)) == widest_str + 1
+
+
+def test_int_str_past_the_digit_limit_matches_str_at_chunk_edges():
+    # Past the limit, ``_int_str`` joins ``2**12``-bit chunks: try lengths
+    # on both sides of a chunk edge, with odd and even chunk counts.
+    limit = sys.get_int_max_str_digits()
+    rng = random.Random(0)
+    values = []
+    for bits in (3 * limit + 1, 4 * 4096 - 1, 4 * 4096, 4 * 4096 + 1, 5 * 4096 + 7, 10**5):
+        x = rng.getrandbits(bits) | 1 << (bits - 1)
+        values += [x, -x, 1 << (bits - 1), (1 << bits) - 1]
+    got = list(map(_int_str, values))
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert got == list(map(str, values))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_integers_past_the_str_digit_limit_are_printed(capsys):
@@ -469,6 +488,27 @@ def test_malformed_table_file_exits_1(tmp_path, capsys, table):
     )
     assert code == 1
     assert err.startswith("topshuffle: error:")
+
+
+NESTED = "[" * 50000 + "]" * 50000  # past the JSON decoder's nesting depth
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prob", "--n", "3", "--a", "1", "--target", NESTED],
+        ["phi", "--n", "3", "--a", "1,1", "--decks", NESTED],
+        ["phi-inverse", "--n", "3", "--a", "1,1", "--alpha", NESTED, "--target", "[1,2,3]"],
+        ["expand", "--n", "2", "--a", "1", "--group", "table:FILE"],
+    ],
+)
+def test_json_nested_too_deep_exits_1(tmp_path, capsys, argv):
+    path = tmp_path / "nested.json"
+    path.write_text(NESTED)
+    argv = [arg.replace("FILE", str(path)) for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("topshuffle: error:") and err.count("\n") == 1
 
 
 def test_prob_approx_of_a_tiny_probability_is_not_zero(capsys):

@@ -5,7 +5,8 @@ value with ``!r``, which neither bounds its length nor survives an int past
 function calls itself, since Python stops a recursion about 1 000 calls
 deep, and a spec or a count can be longer than that.  Every cap, with
 ``CapExceeded`` and the one check that raises it, is in ``coefficients``,
-and so is every number the bit cap bounds."""
+and so is every number the bit cap bounds; and no check runs in a loop,
+where it would refuse only after the passes before it did their work."""
 
 import ast
 from pathlib import Path
@@ -149,3 +150,36 @@ def test_only_coefficients_builds_bounded_numbers():
         if _builds_a_bounded_number(node)
     ]
     assert not sites, f"bounded numbers built outside coefficients at {sites}"
+
+
+# The checks, and the builders that check before they build.
+CHECKS = {
+    "_check_cap", "_check_perm", "_power", "falling_factorial", "total_outcomes",
+    "g_total_outcomes",
+}
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _repeated(node: ast.AST) -> list[ast.AST]:
+    """The parts of ``node`` that run once a pass, if it is a loop."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        return node.body
+    if isinstance(node, ast.While):
+        return [node.test, *node.body]
+    return [node] if isinstance(node, COMPREHENSIONS) else []
+
+
+def test_no_check_runs_in_a_loop():
+    # A cap refuses before the work it bounds: a check in a loop refuses,
+    # if at all, after the passes before it have done their work, and it
+    # bounds one pass, not their sum.
+    sites = sorted({
+        f"{path.name}:{call.lineno}"
+        for path in MODULES
+        for loop in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for part in _repeated(loop)
+        for call in ast.walk(part)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "id", getattr(call.func, "attr", None)) in CHECKS
+    })
+    assert not sites, f"checks run in a loop at {sites}"

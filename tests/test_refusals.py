@@ -212,6 +212,8 @@ CAPS = [
     # The faced row's largest power, at ``c = max(a)``, is checked before the row.
     (lambda: g_expansion(ShuffleSpec(1, (1,) * 10**6), FiniteGroup.cyclic(1024)),
      "bits", 11 * (10**6 - 1), PERM_BIT_CAP),
+    # The coefficient row sums its rounds' bounds: 14 999 rounds of 700 bits.
+    (lambda: expansion(ShuffleSpec(100, (100,) * 15000)), "bits", 10499300, PERM_BIT_CAP),
 ]
 
 
@@ -280,6 +282,8 @@ def test_refusals_come_before_the_work_they_bound(call, printed):
         ("factorization_counts_by_enumeration(10**4, FiniteGroup.cyclic(1))", "(1,)"),
         # One power per distinct size, not a running product of 3 * 10**5 factors.
         ("total_outcomes(ShuffleSpec(3, (1,) * 3 * 10**5)) == 3 ** (3 * 10**5)", "True"),
+        # The coefficient row checks the sum over its rounds before the first.
+        ("expansion(ShuffleSpec(100, (100,) * 15000))", f"CapExceeded bits {PERM_BIT_CAP}"),
     ],
 )
 def test_long_counts_answer_or_refuse_within_a_second(call, printed):
@@ -313,6 +317,36 @@ def test_cli_refuses_a_huge_faced_power_before_the_row():
     assert child.stderr == (
         f"topshuffle: {12 * (10**6 - 1)} bits needed, above the cap of {PERM_BIT_CAP}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "command, rest",
+    [("coeff", "['--j', '100']"), ("prob", "['--target', str([*range(1, 101)])]")],
+)
+def test_cli_refuses_a_long_row_before_its_first_round(command, rest):
+    # The argv is too long for a command line, so the child builds it.
+    child = bounded(
+        "from topshuffle import cli\n"
+        "a = ','.join(['100'] * 15000)\n"
+        f"argv = ['{command}', '--n', '100', '--a', a, *{rest}]\n"
+        "raise SystemExit(cli.run(argv))\n",
+        cpu_s=1,
+    )
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr == f"topshuffle: 10499300 bits needed, above the cap of {PERM_BIT_CAP}\n"
+
+
+def test_a_huge_count_in_a_refusal_prints_in_seconds():
+    # ``CapExceeded`` prints its count in full: here about 2.7 million digits.
+    child = bounded(
+        "try:\n"
+        "    bar_element(identity(900000), FiniteGroup.cyclic(1024))\n"
+        "except CapExceeded as err:\n"
+        "    print('CapExceeded', err.unit, len(str(err)))\n",
+        cpu_s=20,
+    )
+    assert child.returncode == 0, child.stderr[-500:]
+    assert child.stdout == "CapExceeded terms 2709310\n"
 
 
 def test_cli_reports_the_unit(capsys):
