@@ -260,20 +260,37 @@ def _expect(cls: type, x):
     return x
 
 
-# What ``int`` reads from a string, in ASCII digits.
-_INT_SHAPE = re.compile(r"\s*[+-]?[0-9]+(?:_[0-9]+)*\s*")
+# What ``int`` reads from a string, in ASCII digits: its sign and digits.
+_INT_SHAPE = re.compile(r"\s*([+-]?)([0-9]+(?:_[0-9]+)*)\s*")
+
+
+def _joined(parts: list, shift):
+    """The number whose digits in base ``shift`` are ``parts``, lowest
+    first.  Neighbouring parts are joined exactly, ``lo + hi * shift``, pass
+    by pass, the shift squaring each time, so each pass multiplies numbers
+    of equal size and the whole join stays subquadratic."""
+    while len(parts) > 1:
+        odd = parts[-1:] if len(parts) % 2 else []
+        parts = [lo + hi * shift for lo, hi in zip(parts[::2], parts[1::2])] + odd
+        shift *= shift
+    return parts[0]
 
 
 def _json_integer(x) -> int:
     """A decimal string through ``int``, anything else through ``_integer``.
     A string past ``int``'s limit on digits, as ``_int_str`` writes it, is
-    read through ``decimal`` once it has the shape ``int`` would read."""
+    read once it has the shape ``int`` would read: its digits are cut from
+    the right into chunks ``int`` accepts, and the chunks are joined."""
     if not isinstance(x, str):
         return _integer(x)
     limit = sys.get_int_max_str_digits()
-    if limit and len(x) > limit and _INT_SHAPE.fullmatch(x):
-        return int(Decimal(x))
-    return int(x)
+    shape = _INT_SHAPE.fullmatch(x) if limit and len(x) > limit else None
+    if shape is None:
+        return int(x)
+    sign, digits = shape.group(1), shape.group(2).replace("_", "")
+    parts = [int(digits[max(i - limit, 0) : i]) for i in range(len(digits), 0, -limit)]
+    value = _joined(parts, 10**limit)
+    return -value if sign == "-" else value
 
 
 def _int_str(x) -> str:
@@ -281,8 +298,7 @@ def _int_str(x) -> str:
     than ``sys.get_int_max_str_digits()`` digits, so such an int is rendered
     through ``decimal`` instead, and the interpreter's limit is left alone.
     ``Decimal(x)`` alone takes time quadratic in the bits, so ``|x|`` is cut
-    into ``2**12``-bit chunks, and neighbouring chunks are joined exactly,
-    ``lo + hi * 2**width``, pass by pass, the width doubling each time."""
+    into ``2**12``-bit chunks, which ``_joined`` joins in an exact context."""
     limit = sys.get_int_max_str_digits()
     # Below 2**(3 * limit), which is below 10**limit, ``str`` always succeeds.
     if not isinstance(x, int) or not limit or x.bit_length() <= 3 * limit:
@@ -295,13 +311,7 @@ def _int_str(x) -> str:
             Decimal(int.from_bytes(data[i : i + size], "little"))
             for i in range(0, len(data), size)
         ]
-        shift = Decimal(1 << 8 * size)
-        while len(parts) > 1:
-            if len(parts) % 2:
-                parts.append(Decimal(0))
-            parts = [lo + hi * shift for lo, hi in zip(parts[::2], parts[1::2])]
-            shift *= shift
-    return "-" * (x < 0) + str(parts[0])
+        return "-" * (x < 0) + str(_joined(parts, Decimal(1 << 8 * size)))
 
 
 def _shown(x) -> str:

@@ -11,18 +11,17 @@ from collections import defaultdict
 from fractions import Fraction
 
 import pytest
+from bijection_suite import check_bijection, compositions
 
 from topshuffle import (
     FiniteGroup,
     GPermutation,
-    Permutation,
     ShuffleSpec,
     all_permutations,
     bar_lift,
     bar_lift_expansion,
     bell,
     brute_force_product,
-    enumerate_segmented_partitions,
     expansion,
     expansion_element,
     factorization_count,
@@ -33,32 +32,16 @@ from topshuffle import (
     g_multiply,
     g_probability_of,
     g_total_outcomes,
-    g_ways_to_reach,
-    identity,
     min_shuffle_size,
-    phi,
-    phi_inverse,
     probability_of,
     q_cardinality,
     stirling2,
     top_to_random,
     total_outcomes,
-    ways_to_reach,
 )
-from topshuffle.algebra import _top_to_random_decks
 from topshuffle.coefficients import _q_row
-from topshuffle.permutations import _compose_decks
 
 TUPLE_LIMIT = 10**6
-
-
-def compositions(total, max_part):
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, min(total, max_part) + 1):
-        for rest in compositions(total - first, max_part):
-            yield (first,) + rest
 
 
 def test_criterion_1_oracle_equivalence():
@@ -108,93 +91,17 @@ def test_criterion_3_two_factor_closed_form():
     print(f"ACCEPTANCE 3 two-factor closed form: PASS ({checked} triples)")
 
 
-def _bijection_suite_for(spec):
-    """Exhaustively walk the spec's shuffle tuples and check both
-    correspondence directions plus the fiber counts."""
-    n = spec.n
-    factors = [
-        [Permutation(d) for d in _top_to_random_decks(ai, n)] for ai in spec.a
-    ]
-    q_lists = {
-        j: enumerate_segmented_partitions(spec, j)
-        for j in range(spec.j_min, spec.j_max + 1)
-    }
-    q_sets = {j: set(alphas) for j, alphas in q_lists.items()}
-    perm_cache: dict = {}
-
-    def cached_perm(deck):
-        p = perm_cache.get(deck)
-        if p is None:
-            p = Permutation(deck)
-            perm_cache[deck] = p
-        return p
-
-    fibers = defaultdict(set)
-    fiber_counts = defaultdict(int)
-    k = spec.k
-    sigmas: list = [None] * k
-
-    def walk(depth, deck):
-        if depth == k:
-            t = cached_perm(deck)
-            tup = tuple(sigmas)
-            alpha = phi(tup, spec)
-            assert phi_inverse(alpha, t, spec) == tup, (spec, tup)
-            key = (alpha.j, t)
-            fibers[key].add(alpha)
-            fiber_counts[key] += 1
-            return
-        for s in factors[depth]:
-            sigmas[depth] = s
-            walk(depth + 1, _compose_decks(deck, s.deck))
-
-    walk(0, tuple(range(1, n + 1)))
-
-    # Fibers: every block count j and every term t of the j-card shuffle sum
-    # appears, with exactly |Q_j| tuples, no two sharing a partition, and
-    # every enumerated partition realized.
-    expected_keys = {
-        (j, cached_perm(d))
-        for j in q_lists
-        for d in _top_to_random_decks(j, n)
-    }
-    assert set(fibers) == expected_keys, spec
-    for (j, t), alphas in fibers.items():
-        assert fiber_counts[(j, t)] == len(q_lists[j]), (spec, j, t)
-        assert len(alphas) == len(q_lists[j]), (spec, j, t)
-        assert alphas == q_sets[j], (spec, j, t)
-
-    # Reverse direction: rebuilding from each (partition, final deck) pair
-    # lands back on the same partition and composes to the final deck.
-    # Exhaustive over final decks for n <= 4; on five cards every partition
-    # is still checked, against representative final decks per block count
-    # (the walk above already computed the remaining pairs: it ran
-    # phi_inverse on every (partition, deck) combination and matched).
-    for j, alphas in q_lists.items():
-        decks = list(_top_to_random_decks(j, n))
-        if n > 4:
-            decks = sorted({decks[0], decks[len(decks) // 2], decks[-1]})
-        for d in decks:
-            t = cached_perm(d)
-            for alpha in alphas:
-                tup = phi_inverse(alpha, t, spec)
-                prod = tuple(range(1, n + 1))
-                for s in tup:
-                    prod = _compose_decks(prod, s.deck)
-                assert prod == t.deck, (spec, j, alpha)
-                assert phi(tup, spec) == alpha, (spec, j, alpha)
-
-
 @pytest.mark.slow
 def test_criterion_4_bijection_suite():
-    """Both correspondence directions are identities, and every fiber over a
-    final deck has exactly the enumerated partition count, for all specs
-    with slot total <= 7 on decks of size <= 5."""
+    """``phi_inverse`` undoes ``phi`` on every shuffle tuple, and the
+    partitions over each final deck are exactly the enumerated ones, as many
+    as ``q_cardinality`` counts, for all specs with slot total <= 7 on decks
+    of size <= 5."""
     specs = 0
     for n in (1, 2, 3, 4, 5):
         for total in range(1, 8):
             for a in compositions(total, n):
-                _bijection_suite_for(ShuffleSpec(n, a))
+                check_bijection(ShuffleSpec(n, a))
                 specs += 1
     print(f"ACCEPTANCE 4 bijection suite: PASS ({specs} specs)")
 

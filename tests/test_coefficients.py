@@ -4,7 +4,9 @@ import itertools
 import math
 import time
 
+import bijection_suite
 import pytest
+from bijection_suite import check_bijection, compositions
 from bounded_child import bounded
 
 from topshuffle import (
@@ -61,29 +63,6 @@ def oracle_reachable_partitions(spec, j):
         alpha = SegmentedPartition(parts)
         if respects_rounds(alpha, spec):
             out.append(alpha)
-    return out
-
-
-def compositions(total, max_part):
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, min(total, max_part) + 1):
-        for rest in compositions(total - first, max_part):
-            yield (first,) + rest
-
-
-def all_shuffle_tuples(spec):
-    factors = [
-        [Permutation(d) for d in _top_to_random_decks(ai, spec.n)] for ai in spec.a
-    ]
-    return itertools.product(*factors)
-
-
-def product_of(tup):
-    out = tup[0]
-    for s in tup[1:]:
-        out = out * s
     return out
 
 
@@ -357,16 +336,6 @@ def test_phi_two_singles_trace():
         assert alpha.as_json() == [[1, 2]]
 
 
-def test_phi_outputs_are_enumerated_partitions():
-    spec = ShuffleSpec(3, (1, 1, 1))
-    enumerated = {
-        j: set(enumerate_segmented_partitions(spec, j)) for j in range(1, 4)
-    }
-    for tup in all_shuffle_tuples(spec):
-        alpha = phi(tup, spec)
-        assert alpha in enumerated[alpha.j]
-
-
 def test_phi_rejects_non_term():
     spec = ShuffleSpec(3, (1, 1))
     bad = Permutation((3, 2, 1))  # needs two cards shuffled
@@ -382,26 +351,43 @@ def test_phi_inverse_single_factor_is_identity_map():
         assert phi_inverse(alpha, t, spec) == (t,)
 
 
-@pytest.mark.parametrize("n,a", [(3, (1, 1, 1)), (4, (2, 1))])
-def test_phi_roundtrip_exhaustive(n, a):
-    spec = ShuffleSpec(n, a)
-    for tup in all_shuffle_tuples(spec):
-        alpha = phi(tup, spec)
-        assert phi_inverse(alpha, product_of(tup), spec) == tup
+@pytest.mark.parametrize("n,a", [(3, (1, 1, 1)), (4, (2, 1)), (4, (2, 2))])
+def test_phi_bijection_on_small_specs(n, a):
+    check_bijection(ShuffleSpec(n, a))
 
 
-def test_phi_inverse_images_fill_each_fiber():
-    # For fixed t, distinct partitions give distinct tuples and every one
-    # of the q_cardinality(spec, j) partitions is realized.
-    spec = ShuffleSpec(4, (2, 2))
-    for j in range(spec.j_min, spec.j_max + 1):
-        alphas = enumerate_segmented_partitions(spec, j)
-        for d in _top_to_random_decks(j, 4):
-            t = Permutation(d)
-            tuples = {phi_inverse(alpha, t, spec) for alpha in alphas}
-            assert len(tuples) == q_cardinality(spec, j)
-            for tup in tuples:
-                assert product_of(tup) == t
+def _first_answer_wrong(real, wrong):
+    """``real``, except that its first call answers ``wrong(answer)``."""
+    calls = itertools.count()
+    return lambda *args: wrong(real(*args)) if next(calls) == 0 else real(*args)
+
+
+SMALL = ShuffleSpec(4, (2, 1))
+SWAP = Permutation((2, 1, 3, 4))
+
+
+def _other_partition(alpha):
+    """A partition of ``SMALL`` into ``alpha.j`` blocks other than ``alpha``."""
+    return next(b for b in enumerate_segmented_partitions(SMALL, alpha.j) if b != alpha)
+
+
+# Each fault: the name it replaces in ``bijection_suite``, and the wrong
+# answer that name gives on its first call.
+FAULTS = {
+    "phi_inverse-wrong-tuple": ("phi_inverse", lambda tup: tuple(s * SWAP for s in tup)),
+    "phi-mislabels-a-tuple": ("phi", _other_partition),
+    "enumeration-repeats-a-partition": ("enumerate_segmented_partitions", lambda q: q + q[:1]),
+    "enumeration-drops-a-partition": ("enumerate_segmented_partitions", lambda q: q[1:]),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_check_bijection_catches_each_planted_fault(monkeypatch, fault):
+    name, wrong = FAULTS[fault]
+    real = getattr(bijection_suite, name)
+    monkeypatch.setattr(bijection_suite, name, _first_answer_wrong(real, wrong))
+    with pytest.raises(AssertionError):
+        check_bijection(SMALL)
 
 
 def test_phi_inverse_rejects_bad_inputs():

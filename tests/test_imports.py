@@ -1,12 +1,13 @@
-"""Every name a module of the package imports is read in that module, so a
-deletion that leaves an import behind fails here; no message formats a
-value with ``!r``, which neither bounds its length nor survives an int past
-``str``'s limit on digits (``permutations._shown`` does both); and no
-function calls itself, since Python stops a recursion about 1 000 calls
-deep, and a spec or a count can be longer than that.  Every cap, with
-``CapExceeded`` and the one check that raises it, is in ``coefficients``,
-and so is every number the bit cap bounds; and no check runs in a loop,
-where it would refuse only after the passes before it did their work."""
+"""Every name a module of the package or of its tests imports is read in
+that module, so a deletion that leaves an import behind fails here; no
+message formats a value with ``!r``, which neither bounds its length nor
+survives an int past ``str``'s limit on digits (``permutations._shown``
+does both); and no function calls itself, since Python stops a recursion
+about 1 000 calls deep, and a spec or a count can be longer than that.
+Every cap, with ``CapExceeded`` and the one check that raises it, is in
+``coefficients``, and so is every number the bit cap bounds; and no check
+runs in a loop, where it would refuse only after the passes before it did
+their work."""
 
 import ast
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "topshuffle"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _imported_names(tree: ast.Module):
@@ -32,7 +34,7 @@ def test_the_modules_are_found():
     assert MODULES, f"no modules under {PACKAGE}"
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.stem)
 def test_every_import_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     read = {
