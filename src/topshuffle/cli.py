@@ -127,7 +127,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(
         "partitions", _cmd_partitions, plain, help="stream the j-block round-partitions"
     )
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument(
+        "--j",
+        type=int,
+        required=True,
+        help="number of blocks, up to sum(a) and not bounded by --n: for j > n "
+        "no n-card deck is reached, and coeff reports 0",
+    )
 
     p = command("phi", _cmd_phi, plain, help="round-partition of a shuffle sequence")
     p.add_argument(

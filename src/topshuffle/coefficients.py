@@ -13,16 +13,23 @@ directions of that correspondence, and ``iter_segmented_partitions``
 enumerates the partitions, anchor tuple by anchor tuple (the counts of
 fresh cards per round).
 
-``q_cardinality`` counts them without enumeration.  ``_q_row`` carries,
-round by round, a mapping from each number of blocks the rounds so far
-can have opened to the weight of the partial partitions that opened that
-many: a round of ``ac`` slots that opens ``l`` new blocks chooses its
-fresh slots in ``comb(ac, l)`` ways and seats the other ``ac - l`` slots
-in distinct opened blocks in ``perm(opened, ac - l)`` ways.  One pass over
-the rounds gives every nonzero count ``q_j`` at once, keyed by the ``j``
-reached, in ``O(k * j_max * max(a))`` arithmetic operations, where the
-anchor tuples alone number ``C(k-1, j-1)`` for single-card rounds.  ``stirling2`` and
-``bell`` keep their own recurrence, so they stay an independent check.
+``q_cardinality`` counts them without enumeration.  ``_q_row`` gives
+every nonzero count ``q_j`` at once, keyed by the ``j`` reached, by one
+of two paths, where the anchor tuples alone number ``C(k-1, j-1)`` for
+single-card rounds.  ``_row_by_rounds`` carries, round by round, a
+mapping from each number of blocks the rounds so far can have opened to
+the weight of the partial partitions that opened that many: a round of
+``ac`` slots that opens ``l`` new blocks chooses its fresh slots in
+``comb(ac, l)`` ways and seats the other ``ac - l`` slots in distinct
+opened blocks in ``perm(opened, ac - l)`` ways, in about ``k * W * max(a)``
+products for a row of width ``W = j_max - max(a) + 1``.
+``_row_by_differences`` reads ``q_j`` as the ``j``-th Newton coefficient
+of ``prod_i P(x, a_i)``, which equals ``sum_j q_j P(x, j)`` at every deck
+size ``x``, in ``W(W-1)/2`` subtractions whatever ``k`` is.  ``_q_row``
+takes the triangle when the rounds would fill more cells and its numbers
+fit the bit cap, in the same pass over the rounds that checks the bit
+budget.  ``stirling2`` and ``bell`` keep their own
+recurrence, so they stay an independent check.
 
 A ``SegmentedPartition`` is stored as one tuple of block labels:
 ``labels[e-1]`` is the block of slot ``e``, blocks numbered in order of
@@ -44,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -260,18 +268,60 @@ def q_cardinality(spec: ShuffleSpec, j: int) -> int:
 
 def _q_row(a: tuple[int, ...], top: int) -> dict[int, int]:
     """``{j: q_j}``, round-partition counts by number of blocks ``j <= top``,
-    for the ``j`` the rounds reach: keys increasing, every count positive.
-    ``row[o]`` weighs the partial partitions of the rounds so far that
-    opened ``o`` blocks, none before the first round.  Blocks never close,
-    so states above ``top`` are dropped.  A cell's ``comb`` and ``perm``
-    each have at most ``min(ac, o)`` factors of at most ``max(ac, o)``,
-    where ``o`` is the most blocks the rounds before can open, capped at
-    ``top``.  A count multiplies one cell of each round, so the sum of those
-    bounds over the rounds is checked once, before the first round.
+    for the ``j`` the rounds reach, which are exactly
+    ``max(a)..min(sum(a), top)``: keys increasing, every count positive.
+
+    Two paths give the same row: ``_row_by_rounds`` carries a weight per
+    number of blocks opened, round by round, and ``_row_by_differences``
+    reads the row off a forward-difference triangle of width ``W = top -
+    max(a) + 1``, once ``top`` is cut to ``sum(a)``.  One pass over the
+    rounds, before either path runs, sums two figures.  Before round ``i``
+    the rounds so far have opened at least ``least`` blocks, the largest
+    size among them, and at most ``most``, their sum capped at ``top``:
+
+    * the bit budget, the one refusal: a cell's ``comb`` and ``perm`` each
+      have at most ``min(a_i, most)`` factors of at most
+      ``max(a_i, most)``, and a count multiplies one cell of each round;
+    * the rounds' cells: the states ``least..most`` times the range of
+      ``l`` they run, ``max(0, a_i - most)..min(a_i, top - least)``.
+
+    The triangle runs when the rounds would fill more cells than its
+    ``W(W+1)/2`` (``W`` values and ``W(W-1)/2`` differences) and its
+    numbers, at most ``top**sum(a)``, fit in ``PERM_BIT_CAP`` bits;
+    otherwise the rounds run.  A triangle cell is one subtraction, a
+    round's cell two products and a ``comb`` and a ``perm``, so the rule
+    leans to the rounds.  ``tests/test_kernel.py::sweep_rows`` lists the
+    rows it was measured on.
     """
-    rounds = zip(a, map(min, itertools.accumulate(a, initial=0), itertools.repeat(top)))
-    bits = sum(min(ac, o) * max(ac, o).bit_length() for ac, o in rounds if max(ac, o) > 1)
+    total = sum(a)
+    top = min(top, total)
+    bits = cells = least = 0
+    most = min(0, top)
+    # Conditional expressions, not ``min`` and ``max``: this pass runs once
+    # a round, and the builtin calls made it three times slower.
+    for ac in a:
+        small, big = (most, ac) if ac > most else (ac, most)
+        if big > 1:
+            bits += small * big.bit_length()
+        fresh = ac if ac < top - least else top - least
+        seated = ac - most if ac > most else 0
+        cells += (most - least + 1) * (fresh - seated + 1)
+        least = ac if ac > least else least
+        most = most + ac if most + ac < top else top
     _check_cap(bits, PERM_BIT_CAP, "bits")
+    width = top - max(a) + 1
+    if cells > width * (width + 1) // 2 and total * top.bit_length() <= PERM_BIT_CAP:
+        return _row_by_differences(a, top)
+    return _row_by_rounds(a, top)
+
+
+def _row_by_rounds(a: tuple[int, ...], top: int) -> dict[int, int]:
+    """``_q_row`` round by round: ``row[o]`` weighs the partial partitions
+    of the rounds so far that opened ``o`` blocks, none before the first
+    round.  A round of ``ac`` slots that opens ``l`` new blocks chooses its
+    fresh slots in ``comb(ac, l)`` ways and seats the other ``ac - l``
+    slots in distinct opened blocks in ``perm(o, ac - l)`` ways.  Blocks
+    never close, so states above ``top`` are dropped."""
     row = {0: 1}
     for ac in a:
         nxt: dict[int, int] = {}
@@ -281,6 +331,36 @@ def _q_row(a: tuple[int, ...], top: int) -> dict[int, int]:
                 nxt[opened + l] = nxt.get(opened + l, 0) + w
         row = nxt
     return row
+
+
+def _row_by_differences(a: tuple[int, ...], top: int) -> dict[int, int]:
+    """``_q_row`` by Newton's forward differences, for ``top <= sum(a)``.
+
+    Every outcome tuple lands in one term, so ``f(x) = prod_i P(x, a_i)``
+    equals ``sum_j q_j P(x, j)`` at every deck size ``x``: ``q_j`` is the
+    ``j``-th Newton coefficient of ``f``.  Every term has ``j >= m =
+    max(a)``, and ``P(x, j) = P(x, m) P(x - m, j - m)``, so ``g(y) =
+    f(m + y) / P(m + y, m)``, which is ``f`` with one round of size ``m``
+    left out, has ``q_{m+t} = Δ^t g(0) / t!``.  The values ``g(0..W-1)``,
+    each distinct size's ``perm`` raised to its count, go through one
+    triangle of ``W(W-1)/2`` subtractions, ``W = top - m + 1``; block
+    counts below ``m`` never enter it.  The Newton coefficients of ``g``
+    are counts, so every difference in the triangle is too, and none
+    exceeds ``g(W-1) <= top**sum(a)``.
+    """
+    m, counts = max(a), Counter(a)
+    counts[m] -= 1  # ``g`` leaves out one round of size ``m``
+    xs = range(m, top + 1)
+    g = [1] * len(xs)
+    for s, c in counts.items():
+        if c:
+            powers = map(pow, map(math.perm, xs, itertools.repeat(s)), itertools.repeat(c))
+            g = list(map(operator.mul, g, powers))
+    for t in range(1, len(g)):
+        for i in range(len(g) - 1, t - 1, -1):
+            g[i] -= g[i - 1]
+    factorials = itertools.accumulate(range(1, len(g)), operator.mul, initial=1)
+    return dict(zip(xs, map(operator.floordiv, g, factorials)))
 
 
 @dataclass(frozen=True, init=False)

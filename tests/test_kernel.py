@@ -1,5 +1,5 @@
-"""The round-by-round count row, checked against an anchor-tuple sum and
-against identities that hold far beyond brute-force reach, and the
+"""The count row, on both of its paths, checked against an anchor-tuple sum
+and against identities that hold far beyond brute-force reach, and the
 oracle's fold, checked against a tuple-by-tuple count."""
 
 import functools
@@ -7,10 +7,12 @@ import importlib
 import itertools
 import math
 import pkgutil
+import random
 import types
 from collections import Counter
 
 import pytest
+from bounded_child import bounded
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +27,7 @@ from topshuffle import (
     algebra,
     anchor_tuples,
     brute_force_product,
+    coefficients,
     compose,
     expansion,
     factorization_counts_by_enumeration,
@@ -41,7 +44,12 @@ from topshuffle import (
     ways_to_reach,
     wreath,
 )
-from topshuffle.coefficients import _q_row, _stirling_row
+from topshuffle.coefficients import (
+    _q_row,
+    _row_by_differences,
+    _row_by_rounds,
+    _stirling_row,
+)
 from topshuffle.permutations import _deck_from_targets
 
 S3 = FiniteGroup.symmetric_3()
@@ -61,7 +69,33 @@ def anchor_sum(spec, j):
     return total
 
 
-def test_row_equals_anchor_sum_exhaustively():
+PATHS = ROUNDS, DIFFERENCES = ("_row_by_rounds", "_row_by_differences")
+
+
+def count_paths(monkeypatch):
+    """Wraps both of ``_q_row``'s paths, counting the calls to each."""
+    calls = Counter()
+    for name in PATHS:
+        path = getattr(coefficients, name)
+        monkeypatch.setattr(
+            coefficients, name, lambda a, top, p=path, n=name: calls.update([n]) or p(a, top)
+        )
+    return calls
+
+
+def path_taken(a, top):
+    """The path ``_q_row(a, top)`` takes, found without running either."""
+    taken = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in PATHS:
+            patch.setattr(coefficients, name, lambda a, top, n=name: taken.append(n) or {})
+        _q_row(a, top)
+    (name,) = taken
+    return name
+
+
+def test_row_equals_anchor_sum_exhaustively(monkeypatch):
+    calls = count_paths(monkeypatch)
     checked = 0
     for n in range(1, 8):
         for k in range(1, 5):
@@ -76,6 +110,94 @@ def test_row_equals_anchor_sum_exhaustively():
                     assert _q_row(a, j).get(j, 0) == row.get(j, 0)
                 checked += 1
     assert checked == sum(n**k for n in range(1, 8) for k in range(1, 5))
+    assert calls[ROUNDS] and calls[DIFFERENCES], calls
+
+
+def sweep_rows():
+    """The rows the choice between the paths was measured on: decks of 8
+    to 200 cards, rounds of one card, two cards, one to four cards and half
+    the deck, totalling half, once, twice and four times the deck, and the
+    rows named below."""
+    rng = random.Random(7)
+    for n in (8, 16, 32, 52, 100, 200):
+        for total in (n // 2, n, 2 * n, 4 * n):
+            mixed = []
+            while sum(mixed) < total:
+                mixed.append(rng.randint(1, 4))
+            yield n, (1,) * total
+            yield n, (2,) * (total // 2)
+            yield n, tuple(mixed)
+            yield n, (n // 2,) * (total // (n // 2))
+    # Short rows whose first round opens most of the row, and long rows at
+    # or below the deck, where an earlier difference form was slower.
+    yield 200, (100, 1, 1)
+    yield 1000, (1,) * 500
+    yield 1000, tuple(rng.randint(1, 4) for _ in range(200))
+    # Few rounds of many cards, where the triangle would be wide.
+    yield 10**5, (10**5,)
+    yield 1000, (500, 500)
+    yield 2000, (1000, 1)
+
+
+def test_both_paths_give_the_same_row_on_the_sweep():
+    taken = Counter()
+    for n, a in sweep_rows():
+        top = min(n, sum(a))
+        row = _row_by_rounds(a, top)
+        assert _row_by_differences(a, top) == row, (n, len(a), a[:3])
+        assert list(row) == list(range(max(a), top + 1))
+        taken[path_taken(a, top)] += 1
+    assert taken[ROUNDS] >= 10 and taken[DIFFERENCES] >= 10, taken
+
+
+@pytest.mark.parametrize(
+    "n, a, path",
+    [
+        # Few rounds of many cards: the triangle would be as wide as the
+        # deck, while the rounds fill a few cells.
+        (10**5, (10**5,), ROUNDS),
+        (1000, (500, 500), ROUNDS),
+        (2000, (1000, 1), ROUNDS),
+        (10**4, (5000, 5000), ROUNDS),
+        (10**5, (5 * 10**4, 5 * 10**4), ROUNDS),
+        (10**30, (10**30,), ROUNDS),
+        (10**30, (1, 10**30), ROUNDS),
+        # Long rows, and a short one whose first round opens most of it.
+        (52, (1,) * 3000, DIFFERENCES),
+        (200, (100, 1, 1), DIFFERENCES),
+        (1000, (1,) * 500, DIFFERENCES),
+        (8, (1,) * 16, DIFFERENCES),
+    ],
+)
+def test_each_row_takes_its_path(n, a, path):
+    assert path_taken(a, n) == path
+
+
+def test_long_rows_answer_within_two_seconds():
+    # Round by round, the first takes seconds and the second, over thirteen
+    # targets, about as long; the triangle takes milliseconds for each.
+    child = bounded(
+        "row = expansion(ShuffleSpec(52, (1,) * 20000))\n"
+        "print(list(row) == list(range(1, 53)), row[2] == 2**19999 - 1)\n",
+        cpu_s=2,
+    )
+    assert child.returncode == 0, child.stderr[-500:]
+    assert child.stdout == "True True\n"
+    child = bounded(
+        "import contextlib, io\n"
+        "from topshuffle import cli\n"
+        "ones = ','.join(['1'] * 3000)\n"
+        "codes = []\n"
+        "for m in range(1, 53, 4):\n"
+        "    deck = [c for c in range(1, 53) if c != m] + [m]\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        argv = ['prob', '--n', '52', '--a', ones, '--target', str(deck)]\n"
+        "        codes.append(cli.run(argv))\n"
+        "print(codes)\n",
+        cpu_s=2,
+    )
+    assert child.returncode == 0, child.stderr[-500:]
+    assert child.stdout == f"{[0] * 13}\n"
 
 
 def test_count_without_truncation_reaches_past_the_deck():
@@ -99,11 +221,15 @@ def test_truncated_all_singles_row_is_a_stirling_prefix():
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(n=st.integers(1, 40), a=st.lists(st.integers(1, 40), min_size=1, max_size=12))
+@given(n=st.integers(1, 40), a=st.lists(st.integers(1, 40), min_size=1, max_size=40))
+@example(n=40, a=[1] * 40)  # the difference path
+@example(n=40, a=[20, 20])  # the rounds
 def test_expansion_keys_increase_and_counts_are_positive(n, a):
+    # ``wreath.g_expansion`` divides once per key, so the keys must be
+    # every block count from ``j_min`` to ``j_max`` on both paths.
     spec = ShuffleSpec(n, [min(ai, n) for ai in a])
     row = expansion(spec)
-    assert list(row) == sorted(row)
+    assert list(row) == list(range(spec.j_min, spec.j_max + 1))
     assert all(c > 0 for c in row.values())
 
 
@@ -192,7 +318,9 @@ def test_faced_ways_match_term_by_term_sum(data):
 
 # The oracle must never share a code path with the closed form ---------------
 
-CLOSED_FORM = {"_q_row", "q_cardinality", "expansion"}
+CLOSED_FORM = {
+    "_q_row", "_row_by_rounds", "_row_by_differences", "q_cardinality", "expansion"
+}
 
 
 def code_names(code):

@@ -13,7 +13,13 @@ import itertools
 import json
 from pathlib import Path
 
-from topshuffle import ShuffleSpec, enumerate_segmented_partitions
+from topshuffle import (
+    ShuffleSpec,
+    enumerate_segmented_partitions,
+    iter_segmented_partitions,
+    q_cardinality,
+)
+from topshuffle.coefficients import _q_row
 
 GOLDEN = Path(__file__).parent / "data" / "partitions_golden.json"
 
@@ -49,3 +55,15 @@ def test_enumeration_replays_golden_order():
     assert not failures, f"{len(failures)} differ; first: {failures[:3]}"
     assert seen == len(records)
     assert partitions == 45597
+
+
+def test_counts_agree_on_every_block_count_past_the_deck():
+    # ``j`` is not bounded by the deck size: for ``n < j <= sum(a)`` the
+    # partitions are listed, and ``q_cardinality`` counts the ones an
+    # ``n``-card deck reaches, none.  Either path of ``_q_row`` may count.
+    for spec in golden_specs():
+        for j in range(-1, spec.total + 2):
+            listed = len(enumerate_segmented_partitions(spec, j))
+            assert len(list(iter_segmented_partitions(spec, j))) == listed
+            assert _q_row(spec.a, j).get(j, 0) == listed, (spec, j)
+            assert q_cardinality(spec, j) == (listed if j <= spec.n else 0), (spec, j)
