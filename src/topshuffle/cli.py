@@ -113,13 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("expand", _cmd_expand, faced, help="expansion coefficients")
 
+    cap = "enumeration cap, in term tuples; TOPSHUFFLE_BRUTE_CAP sets the default"
     p = command("brute", _cmd_brute, faced, help="full product element by enumeration")
-    p.add_argument("--cap", type=int, default=None, help="tuple enumeration cap")
+    p.add_argument("--cap", type=int, default=None, help=cap)
 
     p = command(
         "verify", _cmd_verify, faced, help="expansion against the enumeration oracle"
     )
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=None, help=cap)
 
     p = command("coeff", _cmd_coeff, plain, help="single expansion coefficient")
     p.add_argument("--j", type=int, required=True, help="number of touched cards")
@@ -156,11 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=_digits, help="also print a decimal approximation")
 
     p = command("stirling", _cmd_stirling, [fmt], help="Stirling set number")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, help="size of the set")
+    p.add_argument("--j", type=int, required=True, help="number of blocks")
 
     p = command("bell", _cmd_bell, [fmt], help="Bell number")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, help="size of the set")
 
     return parser
 

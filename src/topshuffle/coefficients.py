@@ -26,9 +26,10 @@ products for a row of width ``W = j_max - max(a) + 1``.
 ``_row_by_differences`` reads ``q_j`` as the ``j``-th Newton coefficient
 of ``prod_i P(x, a_i)``, which equals ``sum_j q_j P(x, j)`` at every deck
 size ``x``, in ``W(W-1)/2`` subtractions whatever ``k`` is.  ``_q_row``
-takes the triangle when the rounds would fill more cells and its numbers
-fit the bit cap, in the same pass over the rounds that checks the bit
-budget.  ``stirling2`` and ``bell`` keep their own
+prices the rounds by each round's cell bits, the figure its bit budget
+sums, times the states it runs, and takes the triangle when that price
+exceeds the triangle's cells and its numbers fit the bit cap.
+``stirling2`` and ``bell`` keep their own
 recurrence, so they stay an independent check.
 
 A ``SegmentedPartition`` is stored as one tuple of block labels:
@@ -275,42 +276,37 @@ def _q_row(a: tuple[int, ...], top: int) -> dict[int, int]:
     number of blocks opened, round by round, and ``_row_by_differences``
     reads the row off a forward-difference triangle of width ``W = top -
     max(a) + 1``, once ``top`` is cut to ``sum(a)``.  One pass over the
-    rounds, before either path runs, sums two figures.  Before round ``i``
-    the rounds so far have opened at least ``least`` blocks, the largest
-    size among them, and at most ``most``, their sum capped at ``top``:
+    rounds, before either path runs, gives each round one figure, its cell
+    bits.  Before round ``i`` the rounds so far have opened at most
+    ``most`` blocks, their sum capped at ``top``, and a cell's ``comb`` and
+    ``perm`` each have at most ``min(a_i, most)`` factors of at most
+    ``max(a_i, most)``, which bounds their bits (0 if that is at most 1).
 
-    * the bit budget, the one refusal: a cell's ``comb`` and ``perm`` each
-      have at most ``min(a_i, most)`` factors of at most
-      ``max(a_i, most)``, and a count multiplies one cell of each round;
-    * the rounds' cells: the states ``least..most`` times the range of
-      ``l`` they run, ``max(0, a_i - most)..min(a_i, top - least)``.
-
-    The triangle runs when the rounds would fill more cells than its
-    ``W(W+1)/2`` (``W`` values and ``W(W-1)/2`` differences) and its
-    numbers, at most ``top**sum(a)``, fit in ``PERM_BIT_CAP`` bits;
-    otherwise the rounds run.  A triangle cell is one subtraction, a
-    round's cell two products and a ``comb`` and a ``perm``, so the rule
-    leans to the rounds.  ``tests/test_kernel.py::sweep_rows`` lists the
-    rows it was measured on.
+    The bit budget, the one refusal, sums the cell bits, since a count
+    multiplies one cell of each round.  The rounds path's price weighs
+    each by the states its round runs, ``least..most``, where ``least`` is
+    the largest size so far.  The triangle runs when that price exceeds
+    its ``W(W+1)/2`` cells (``W`` values and ``W(W-1)/2`` differences) and
+    its numbers, at most ``top**sum(a)``, fit in ``PERM_BIT_CAP`` bits;
+    otherwise the rounds run.  ``python tests/row_sweep.py`` times both
+    paths on the rows the rule was measured on and names the faster.
     """
     total = sum(a)
     top = min(top, total)
-    bits = cells = least = 0
+    bits = price = least = 0
     most = min(0, top)
     # Conditional expressions, not ``min`` and ``max``: this pass runs once
     # a round, and the builtin calls made it three times slower.
     for ac in a:
         small, big = (most, ac) if ac > most else (ac, most)
-        if big > 1:
-            bits += small * big.bit_length()
-        fresh = ac if ac < top - least else top - least
-        seated = ac - most if ac > most else 0
-        cells += (most - least + 1) * (fresh - seated + 1)
+        cell = small * big.bit_length() if big > 1 else 0
+        bits += cell
+        price += (most - least + 1) * cell
         least = ac if ac > least else least
         most = most + ac if most + ac < top else top
     _check_cap(bits, PERM_BIT_CAP, "bits")
     width = top - max(a) + 1
-    if cells > width * (width + 1) // 2 and total * top.bit_length() <= PERM_BIT_CAP:
+    if price > width * (width + 1) // 2 and total * top.bit_length() <= PERM_BIT_CAP:
         return _row_by_differences(a, top)
     return _row_by_rounds(a, top)
 

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, round-trips, and exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -382,6 +383,15 @@ def test_tally_mismatch_exit_code_3(capsys, monkeypatch, group, text):
 
 def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0
+
+
+def test_every_option_of_every_subcommand_has_help():
+    (commands,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    for name, parser in commands.choices.items():
+        for action in parser._actions:
+            assert action.help, (name, action.option_strings)
 
 
 # One valid call per subcommand; the test below breaks each one three ways.

@@ -7,7 +7,6 @@ import importlib
 import itertools
 import math
 import pkgutil
-import random
 import types
 from collections import Counter
 
@@ -15,6 +14,7 @@ import pytest
 from bounded_child import bounded
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from row_sweep import DIFFERENCES, PATHS, ROUNDS, path_taken, sweep_rows
 
 import topshuffle
 from topshuffle import (
@@ -69,9 +69,6 @@ def anchor_sum(spec, j):
     return total
 
 
-PATHS = ROUNDS, DIFFERENCES = ("_row_by_rounds", "_row_by_differences")
-
-
 def count_paths(monkeypatch):
     """Wraps both of ``_q_row``'s paths, counting the calls to each."""
     calls = Counter()
@@ -81,17 +78,6 @@ def count_paths(monkeypatch):
             coefficients, name, lambda a, top, p=path, n=name: calls.update([n]) or p(a, top)
         )
     return calls
-
-
-def path_taken(a, top):
-    """The path ``_q_row(a, top)`` takes, found without running either."""
-    taken = []
-    with pytest.MonkeyPatch.context() as patch:
-        for name in PATHS:
-            patch.setattr(coefficients, name, lambda a, top, n=name: taken.append(n) or {})
-        _q_row(a, top)
-    (name,) = taken
-    return name
 
 
 def test_row_equals_anchor_sum_exhaustively(monkeypatch):
@@ -113,32 +99,6 @@ def test_row_equals_anchor_sum_exhaustively(monkeypatch):
     assert calls[ROUNDS] and calls[DIFFERENCES], calls
 
 
-def sweep_rows():
-    """The rows the choice between the paths was measured on: decks of 8
-    to 200 cards, rounds of one card, two cards, one to four cards and half
-    the deck, totalling half, once, twice and four times the deck, and the
-    rows named below."""
-    rng = random.Random(7)
-    for n in (8, 16, 32, 52, 100, 200):
-        for total in (n // 2, n, 2 * n, 4 * n):
-            mixed = []
-            while sum(mixed) < total:
-                mixed.append(rng.randint(1, 4))
-            yield n, (1,) * total
-            yield n, (2,) * (total // 2)
-            yield n, tuple(mixed)
-            yield n, (n // 2,) * (total // (n // 2))
-    # Short rows whose first round opens most of the row, and long rows at
-    # or below the deck, where an earlier difference form was slower.
-    yield 200, (100, 1, 1)
-    yield 1000, (1,) * 500
-    yield 1000, tuple(rng.randint(1, 4) for _ in range(200))
-    # Few rounds of many cards, where the triangle would be wide.
-    yield 10**5, (10**5,)
-    yield 1000, (500, 500)
-    yield 2000, (1000, 1)
-
-
 def test_both_paths_give_the_same_row_on_the_sweep():
     taken = Counter()
     for n, a in sweep_rows():
@@ -153,11 +113,12 @@ def test_both_paths_give_the_same_row_on_the_sweep():
 @pytest.mark.parametrize(
     "n, a, path",
     [
-        # Few rounds of many cards: the triangle would be as wide as the
-        # deck, while the rounds fill a few cells.
+        # One or two wide rounds: the triangle is hundreds or thousands
+        # wide, and the rounds run each wide round over one state.
         (10**5, (10**5,), ROUNDS),
         (1000, (500, 500), ROUNDS),
-        (2000, (1000, 1), ROUNDS),
+        # Its triangle is 2 wide, and both paths take a few µs.
+        (2000, (1000, 1), DIFFERENCES),
         (10**4, (5000, 5000), ROUNDS),
         (10**5, (5 * 10**4, 5 * 10**4), ROUNDS),
         (10**30, (10**30,), ROUNDS),
@@ -167,6 +128,20 @@ def test_both_paths_give_the_same_row_on_the_sweep():
         (200, (100, 1, 1), DIFFERENCES),
         (1000, (1,) * 500, DIFFERENCES),
         (8, (1,) * 16, DIFFERENCES),
+        # Three or more wide rounds, each run by the rounds over hundreds of
+        # states.  On a 2-vCPU VM with Python 3.11, on the rounds ``(300,
+        # (100,) * 3)`` takes 13 ms against 2.5 ms, ``(500, (100,) * 5)``
+        # 106 ms against 16 ms and ``(1000, (300,) * 3)`` 0.70 s against
+        # 0.058 s.
+        (300, (100,) * 3, DIFFERENCES),
+        (500, (100,) * 5, DIFFERENCES),
+        (1000, (300,) * 3, DIFFERENCES),
+        (1500, (500,) * 3, DIFFERENCES),
+        # Two wide rounds and a one-card round, which runs two cells a
+        # state: on the triangle ``(1000, (500, 500, 1))`` takes 40 ms
+        # against 7 ms, and ``(10**4, (5000, 5000, 1))`` 46 s against 4.9 s.
+        (1000, (500, 500, 1), ROUNDS),
+        (10**4, (5000, 5000, 1), ROUNDS),
     ],
 )
 def test_each_row_takes_its_path(n, a, path):
@@ -198,6 +173,17 @@ def test_long_rows_answer_within_two_seconds():
     )
     assert child.returncode == 0, child.stderr[-500:]
     assert child.stdout == f"{[0] * 13}\n"
+
+
+def test_three_wide_rounds_answer_within_two_seconds():
+    # Round by round this takes about 5 CPU s; the triangle about 0.3 s.
+    child = bounded(
+        "row = expansion(ShuffleSpec(1500, (500, 500, 500)))\n"
+        "print(list(row) == list(range(500, 1501)), row[1500] == 1)\n",
+        cpu_s=2,
+    )
+    assert child.returncode == 0, child.stderr[-500:]
+    assert child.stdout == "True True\n"
 
 
 def test_count_without_truncation_reaches_past_the_deck():
