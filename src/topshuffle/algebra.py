@@ -70,11 +70,14 @@ Word = tuple[int, ...]
 
 def shuffle_product(u: Sequence[int], v: Sequence[int]) -> list[Word]:
     """All interleavings of ``u`` and ``v`` preserving each word's internal
-    order; there are C(|u|+|v|, |u|) of them, pairwise distinct."""
+    order; there are C(|u|+|v|, |u|) of them, pairwise distinct.  Refused
+    up front with ``CapExceeded`` when they exceed ``DEFAULT_TUPLE_CAP``."""
     u, v = _integers(u), _integers(v)
     if len(set(u)) != len(u) or len(set(v)) != len(v) or set(u) & set(v):
         raise ValueError("shuffle operands must have pairwise distinct letters")
-    total = len(u) + len(v)
+    total, k = len(u) + len(v), min(len(u), len(v))
+    words = falling_factorial(total, k) // falling_factorial(k, k)
+    _check_cap(words, DEFAULT_TUPLE_CAP, "words")
     out = []
     for upos in itertools.combinations(range(total), len(u)):
         uset = set(upos)

@@ -125,9 +125,9 @@ class CapExceeded(RuntimeError):
     """Building or counting something would take more units than allowed.
 
     ``unit`` names what ``required`` and ``cap`` count: terms, compositions,
-    tuples, factors, partitions, table cells, Stirling recurrence cells or
-    bits.  Raised up front, before any work is done; results are never
-    silently truncated.
+    tuples, factors, partitions, words, table cells, Stirling recurrence
+    cells or bits.  Raised up front, before any work is done; results are
+    never silently truncated.
     """
 
     def __init__(self, required: int, cap: int, unit: str):

@@ -181,7 +181,7 @@ def as_injection(p: Permutation) -> Injection:
     minimal injections.
     """
     a = min_shuffle_size(p)
-    return Injection(a, tuple(p.position_of(i) for i in range(1, a + 1)))
+    return Injection(a, _inverse_deck(p.deck)[:a])
 
 
 def from_injection(inj: Injection, n: int) -> Permutation:
@@ -343,9 +343,9 @@ def _json_object(data, *keys) -> tuple:
     return tuple([data[k] for k in keys])
 
 
-# Raw-tuple helpers: ``compose``, ``inverse``, ``from_injection`` and
-# ``Permutation._min_shuffle`` work on bare decks through them, and the tests'
-# exhaustive walks call them directly, so no step builds a dataclass.
+# Raw-tuple helpers: ``compose``, ``inverse``, ``as_injection``, ``from_injection``
+# and ``Permutation._min_shuffle`` work on bare decks through them, and the
+# tests' exhaustive walks call them directly, so no step builds a dataclass.
 
 def _compose_decks(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([p[c - 1] for c in q])
@@ -359,12 +359,9 @@ def _inverse_deck(deck: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _min_shuffle_raw(deck: tuple[int, ...]) -> int:
-    n = len(deck)
-    pos = [0] * (n + 1)
-    for i, c in enumerate(deck):
-        pos[c] = i
-    m = n
-    while m > 1 and pos[m - 1] < pos[m]:
+    pos = _inverse_deck(deck)
+    m = len(deck)
+    while m > 1 and pos[m - 2] < pos[m - 1]:
         m -= 1
     return m - 1
 

@@ -23,6 +23,7 @@ from .permutations import (
     _at_least,
     _expect,
     _int_str,
+    _integer,
     _json_integer,
     _json_object,
     min_shuffle_size,
@@ -69,6 +70,9 @@ def g_probability_of(
 
 
 def rational_as_json(x: Fraction) -> dict:
+    """``x``, a ``Fraction`` or an int, as a JSON object of decimal strings."""
+    if not isinstance(x, Fraction):
+        x = Fraction(_integer(x))
     return {"num": _int_str(x.numerator), "den": _int_str(x.denominator)}
 
 

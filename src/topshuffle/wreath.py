@@ -210,11 +210,7 @@ class GPermutation:
         object.__setattr__(self, "deck", deck)
         if any(len(card) != 2 for card in deck):
             raise ValueError("each card is a (face, card) pair")
-        n = len(deck)
-        if n == 0:
-            raise ValueError("empty deck")
-        if sorted(c for _, c in deck) != list(range(1, n + 1)):
-            raise ValueError("card labels must form a permutation of 1..n")
+        Permutation(tuple(c for _, c in deck))
         if any(f < 0 for f, _ in deck):
             raise ValueError("faces are nonnegative group-element indices")
 
@@ -318,6 +314,9 @@ class GAlgebraElement(_Element):
     def _decode(raw: tuple[tuple[int, ...], tuple[int, ...]]) -> GPermutation:
         cards, faces = raw
         return GPermutation(tuple(zip(faces, cards)))
+
+    def __mul__(self, other: "GAlgebraElement") -> "GAlgebraElement":
+        return g_multiply(self, other)
 
     def _check(self, gp: GPermutation) -> None:
         super()._check(gp)

@@ -515,7 +515,7 @@ def test_elements_of_tallies_build_through_the_checked_constructor():
     group = FiniteGroup.cyclic(2)
     faced = GAlgebraElement._of_tally((2, group), {((1, 1), (0, 0)): 1})
     assert faced.group is group
-    with pytest.raises(ValueError, match="card labels"):
+    with pytest.raises(ValueError, match="not a permutation"):
         faced.terms
 
 

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from bounded_child import bounded
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -178,6 +179,27 @@ def test_minimality_predicate_matches_rebuilt_deck():
 def test_injection_roundtrip_random_n7(deck):
     p = Permutation(tuple(deck))
     assert from_injection(as_injection(p), 7) == p
+
+
+def test_deck_layer_runs_in_linear_time_at_a_hundred_thousand_cards():
+    # Every step reads the deck's position table once; a step that finds
+    # each card's position by a scan of the deck takes over a minute at this size.
+    child = bounded(
+        "import random\n"
+        "n = 10**5\n"
+        "deck = list(range(1, n + 1))\n"
+        "random.Random(34).shuffle(deck)\n"
+        "p = Permutation(tuple(deck))\n"
+        "inj = as_injection(p)\n"
+        "assert from_injection(inj, n) == p\n"
+        "m = min_shuffle_size(p)\n"
+        "assert inj.a == m > 1 and is_term_of(p, m) and not is_term_of(p, m - 1)\n"
+        "assert compose(p, inverse(p)) == identity(n) == compose(inverse(p), p)\n"
+        "assert abs(GPermutation.plain(p)) == p\n"
+        "print('ok')\n",
+        cpu_s=3,
+    )
+    assert (child.returncode, child.stdout) == (0, "ok\n"), child.stderr[-500:]
 
 
 def test_json_roundtrip():

@@ -159,3 +159,8 @@ def test_rational_json():
     assert rational_from_json(rational_as_json(x)) == x
     with pytest.raises(ValueError):
         rational_from_json({"num": "1", "den": "0"})
+
+
+def test_rational_as_json_reads_an_int():
+    # Junk, ``True`` among it, is probed in ``test_refusals.py``.
+    assert rational_as_json(3) == {"num": "3", "den": "1"}

@@ -1,10 +1,13 @@
 """Bad input is refused at the public boundary with ``ValueError``, and every
 cap names the unit it counts."""
 
+import importlib
 import inspect
 import math
+import pkgutil
 from collections.abc import Iterator
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from bounded_child import bounded
@@ -186,6 +189,8 @@ CAPS = [
     (lambda: factorization_counts_by_enumeration(11, FiniteGroup.cyclic(1), cap=10),
      "factors", 11, 10),
     (lambda: FiniteGroup.cyclic(4000), "table cells", 16 * 10**6, DEFAULT_TUPLE_CAP),
+    (lambda: shuffle_product(range(13), range(13, 26)), "words", 10400600,
+     DEFAULT_TUPLE_CAP),
     (lambda: stirling2(3000, 2000), "Stirling recurrence cells", 6 * 10**6,
      STIRLING_CELL_CAP),
     (lambda: bell(2001), "Stirling recurrence cells", 2001**2, STIRLING_CELL_CAP),
@@ -770,7 +775,7 @@ def test_range_refusals_print_huge_integers():
 
 ALPHA = SegmentedPartition(([1, 2],))  # both rounds of SPEC touch card 1
 
-# Valid arguments for every callable that ``topshuffle/__init__.py`` imports.
+# Valid arguments for every public callable of the package's modules.
 VALID = {
     "AlgebraElement": (2, {identity(2): 1}),
     "CapExceeded": (10, 1, "tuples"),
@@ -818,6 +823,8 @@ VALID = {
     "phi_inverse": (ALPHA, identity(3), SPEC),
     "probability_of": (identity(3), SPEC),
     "q_cardinality": (SPEC, 2),
+    "rational_as_json": (Fraction(3, 100),),
+    "rational_from_json": ({"num": "3", "den": "100"},),
     "respects_rounds": (ALPHA, SPEC),
     "shuffle_product": ((1, 2), (3,)),
     "stirling2": (3, 2),
@@ -828,12 +835,22 @@ VALID = {
 
 JUNK = [None, "x", [1, 2], (2, (1,)), 1.5, True, object()]
 
-# Every public callable, classes included; a name missing from ``VALID``
+# Every public callable, classes included, of every module but ``cli``, which
+# reads argv; each is taken from the module that defines it, so a helper that
+# the package does not re-export is probed too.  A name missing from ``VALID``
 # fails its probes with ``KeyError``.
+PUBLIC = {
+    name: value
+    for info in pkgutil.iter_modules(topshuffle.__path__)
+    if info.name != "cli"
+    for module in [importlib.import_module(f"topshuffle.{info.name}")]
+    for name, value in vars(module).items()
+    if callable(value) and not name.startswith("_")
+    and getattr(value, "__module__", None) == module.__name__
+}
 PROBES = [
     (name, parameter)
-    for name, value in vars(topshuffle).items()
-    if callable(value) and not name.startswith("_")
+    for name, value in PUBLIC.items()
     for parameter in inspect.signature(value).parameters
 ]
 
@@ -846,7 +863,7 @@ def _call(fn, args, kwargs):
 
 @pytest.mark.parametrize("name, parameter", PROBES)
 def test_junk_in_any_position_is_refused_with_value_error(name, parameter):
-    fn = getattr(topshuffle, name)
+    fn = PUBLIC[name]
     _call(fn, VALID[name], {})  # the valid arguments are accepted
     for junk in JUNK:
         bound = inspect.signature(fn).bind(*VALID[name])

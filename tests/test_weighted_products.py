@@ -95,6 +95,11 @@ def test_g_multiply_equals_the_double_sum(x, y):
     assert product.terms == double_sum(x, y, lambda s, t: g_compose(s, t, group))
 
 
+@pytest.mark.parametrize("x, y", FACED)
+def test_faced_elements_multiply_with_star(x, y):
+    assert weighted(x) * weighted(y) == g_multiply(x, y)
+
+
 @pytest.mark.parametrize(
     "n, left, right", [(4, (2, 1), (1, 3)), (5, (1, 2), (2, 2, 1))]
 )

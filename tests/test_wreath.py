@@ -499,6 +499,13 @@ def test_g_multiply_rejects_different_groups():
         g_multiply(x, y)
 
 
+def test_faced_star_refuses_a_plain_or_missing_factor():
+    x = hat_top_to_random(1, 2, Z2)
+    for other in [top_to_random(1, 2), None]:
+        with pytest.raises(ValueError):
+            x * other
+
+
 def test_faced_deck_refuses_non_integer_faces_and_cards():
     with pytest.raises(ValueError):
         GPermutation(((0.9, 1.7), (0, 2)))
